@@ -2,15 +2,14 @@
 
 Holds the graph adjacency, the matching (mate map), the two-level vertex
 partition, per-vertex ownership lists, and per-vertex free-neighbor indexes.
-All operations here are O(1) except ``get_free``, which is O(threshold +
-n/threshold) by design.  Update logic lives in :mod:`dynmatch.engine`.
+All update-time operations here are O(1), ``get_free`` included.  Update
+logic lives in :mod:`dynmatch.engine`.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from array import array
 from dataclasses import dataclass
 
 
@@ -87,67 +86,49 @@ class IndexableSet:
         return sorted(self._items)
 
 
-class FreeNeighborIndex:
-    """Free-neighbor index F(v) for one vertex.
+class FreeNeighborIndex(IndexableSet):
+    """Free-neighbor index F(v) for one vertex: a dense swap-remove set.
 
-    Membership is a hash set (a sparse stand-in for a length-n boolean
-    array), backed by counters over id-range buckets of width ``threshold``
-    and a running total.  ``has_free`` is O(1); ``get_free`` scans the
-    counters for the first nonzero bucket and then that bucket's id range,
-    so it costs O(n/threshold + threshold).
+    ``insert``, ``delete``, ``has_free`` and ``get_free`` are all O(1).
+    ``get_free`` hands back the last member of the dense list, not the
+    lowest id: the analysis only needs *some* free neighbor.
+
+    ``held`` is a per-vertex count shared by every index of one state:
+    ``held[u]`` is how many indexes contain u.  It changes only here, so
+    callers can skip a neighborhood scan for a vertex no index holds.
+    ``members`` is the position map, read as the member set; ``total`` is
+    a running count of it that the verifier checks against its length.
     """
 
-    __slots__ = ("members", "buckets", "total", "_width", "_n")
+    __slots__ = ("members", "total", "held")
 
-    def __init__(self, n: int, threshold: int) -> None:
-        self.members: set[int] = set()
-        nbuckets = (n + threshold - 1) // threshold
-        self.buckets = array("i", bytes(4 * nbuckets))
+    def __init__(self, held: list[int]) -> None:
+        super().__init__()
+        self.members = self._pos
         self.total = 0
-        self._width = threshold
-        self._n = n
-
-    def __contains__(self, u: int) -> bool:
-        return u in self.members
+        self.held = held
 
     def insert(self, u: int) -> None:
         """Add u; inserting a present member is a no-op."""
-        members = self.members
-        if u in members:
-            return
-        members.add(u)
-        self.buckets[u // self._width] += 1
-        self.total += 1
+        if u not in self.members:
+            self.add(u)
+            self.total += 1
+            self.held[u] += 1
 
     def delete(self, u: int) -> None:
         """Remove u; deleting an absent member is a no-op."""
-        members = self.members
-        if u not in members:
-            return
-        members.remove(u)
-        self.buckets[u // self._width] -= 1
-        self.total -= 1
+        if u in self.members:
+            self.remove(u)
+            self.total -= 1
+            self.held[u] -= 1
 
     def has_free(self) -> bool:
         return self.total > 0
 
     def get_free(self) -> int | None:
-        """Lowest member of the lowest-indexed nonzero bucket, or None."""
-        if not self.total:
-            return None
-        members = self.members
-        width = self._width
-        for j, count in enumerate(self.buckets):
-            if count:
-                start = j * width
-                for x in range(start, min(start + width, self._n)):
-                    if x in members:
-                        return x
-                raise RuntimeError(f"bucket {j} counter out of sync")
-        raise RuntimeError("total out of sync with bucket counters")
-
-    def check_integrity(self) -> bool:
-        return self.total == len(self.members) == sum(self.buckets)
+        """Some member (the last one in the dense list), or None."""
+        items = self._items
+        return items[-1] if items else None
 
 
 class State:
@@ -167,8 +148,9 @@ class State:
         self.mate: list[int | None] = [None] * n
         self.level: list[int] = [0] * n
         self.owners: list[IndexableSet] = [IndexableSet() for _ in range(n)]
+        self.held: list[int] = [0] * n
         self.free_index: list[FreeNeighborIndex] = [
-            FreeNeighborIndex(n, config.threshold) for _ in range(n)
+            FreeNeighborIndex(self.held) for _ in range(n)
         ]
         self.rng = random.Random(config.seed)
         self.flag = False
@@ -210,13 +192,15 @@ class State:
         return self.free_index[v].get_free()
 
     def f_insert(self, v: int, u: int) -> None:
-        """Record u as a free neighbor of v (idempotent)."""
-        self.check_vertex(u)
+        """Record u as a free neighbor of v (idempotent).
+
+        Vertex ids are not checked here: the update entry points validate
+        them once.
+        """
         self.free_index[v].insert(u)
 
     def f_delete(self, v: int, u: int) -> None:
         """Drop u from v's free-neighbor index (idempotent)."""
-        self.check_vertex(u)
         self.free_index[v].delete(u)
 
     # -- ownership ---------------------------------------------------------

@@ -102,8 +102,7 @@ def check_3_aug_path(state: State, u: int, v: int) -> int | None:
 
     Temporarily hides u from mate(v)'s free-neighbor index so the probe
     cannot answer with u itself, then restores it.  Never modifies the
-    matching; O(threshold + n/threshold) when a candidate exists, O(1)
-    otherwise.
+    matching; O(1).
     """
     y = state.mate[v]
     if y is None:
@@ -113,7 +112,7 @@ def check_3_aug_path(state: State, u: int, v: int) -> int | None:
     if u in fy.members:
         fy.delete(u)
         removed = True
-    z = fy.get_free() if fy.total else None
+    z = fy.get_free()
     if removed:
         fy.insert(u)
     return z
@@ -122,7 +121,7 @@ def check_3_aug_path(state: State, u: int, v: int) -> int | None:
 def transfer_ownership_from(state: State, u: int) -> None:
     """Hand u's edges whose other endpoint sits at level 1 to that endpoint."""
     level = state.level
-    for w in state.owners[u].sorted_items():
+    for w in list(state.owners[u]):
         if level[w] == 1:
             state.own_remove(u, w)
             state.own_add(w, u)
@@ -132,7 +131,7 @@ def transfer_ownership_to(state: State, u: int) -> None:
     """Pull in u's edges currently owned by level-0 neighbors."""
     level = state.level
     owners = state.owners
-    for w in sorted(state.adj[u]):
+    for w in state.adj[u]:
         if level[w] == 0 and u in owners[w]:
             state.own_remove(w, u)
             state.own_add(u, w)
@@ -141,7 +140,7 @@ def transfer_ownership_to(state: State, u: int) -> None:
 def take_ownership(state: State, u: int) -> None:
     """Pull in every edge incident on u that u does not own yet."""
     owners = state.owners
-    for w in sorted(state.adj[u]):
+    for w in state.adj[u]:
         if u in owners[w]:
             state.own_remove(w, u)
             state.own_add(u, w)
@@ -149,14 +148,22 @@ def take_ownership(state: State, u: int) -> None:
 
 def insert_to_f_list(state: State, u: int) -> None:
     """Record u as free in every neighbor's index."""
-    for w in sorted(state.adj[u]):
-        state.f_insert(w, u)
+    free_index = state.free_index
+    for w in state.adj[u]:
+        free_index[w].insert(u)
 
 
 def delete_from_f_list(state: State, u: int) -> None:
-    """Erase u from every neighbor's free index."""
-    for w in sorted(state.adj[u]):
-        state.f_delete(w, u)
+    """Erase u from every neighbor's free index.
+
+    Returns at once when no index holds u, so a call for a vertex that was
+    not free costs O(1) rather than its degree.
+    """
+    if not state.held[u]:
+        return
+    free_index = state.free_index
+    for w in state.adj[u]:
+        free_index[w].delete(u)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +260,7 @@ def random_settle_augmented(state: State, u: int) -> int | None:
             # neighbor of u.
             fu = state.free_index[u]
             fu.delete(w)
-            x2 = fu.get_free() if fu.total else None
+            x2 = fu.get_free()
             fu.insert(w)
             if x2 is not None:
                 fix_3_aug_path_d(state, x2, u, y, w)

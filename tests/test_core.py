@@ -49,56 +49,82 @@ class TestFreeNeighborIndex:
         assert not s.has_free(0)
         assert s.get_free(0) is None
 
-    def test_get_free_lowest_in_lowest_bucket(self):
-        # threshold 4 -> buckets {0..3}, {4..7}; members {3, 7} -> 3
-        fni = FreeNeighborIndex(8, 4)
+    def test_get_free_returns_member(self):
+        fni = FreeNeighborIndex([0] * 8)
         fni.insert(7)
         fni.insert(3)
-        assert fni.get_free() == 3
-        fni.delete(3)
-        assert fni.get_free() == 7
+        assert fni.get_free() in {3, 7}
+        fni.delete(fni.get_free())
+        assert fni.get_free() in {3, 7}
+        fni.delete(fni.get_free())
+        assert fni.get_free() is None
+        assert not fni.has_free()
 
     def test_insert_idempotent(self):
-        fni = FreeNeighborIndex(8, 3)
+        held = [0] * 8
+        fni = FreeNeighborIndex(held)
         fni.insert(5)
         fni.insert(5)
         assert fni.total == 1
+        assert held[5] == 1
         fni.delete(5)
         assert fni.total == 0
-        assert fni.buckets[5 // 3] == 0
+        assert held[5] == 0
         fni.delete(5)
         assert fni.total == 0
+        assert held[5] == 0
 
-    def test_bucket_arithmetic(self):
-        thr = 3
-        fni = FreeNeighborIndex(9, thr)
-        fni.insert(0)
-        fni.insert(thr)
-        assert fni.buckets[0] == 1
-        assert fni.buckets[1] == 1
-        assert fni.total == 2
+    def test_total_and_has_free_exact(self):
+        s = make_state(9)
+        s.f_insert(4, 0)
+        s.f_insert(4, 3)
+        assert s.free_index[4].total == 2
+        assert s.has_free(4)
+        assert s.held[0] == s.held[3] == 1
+        s.f_delete(4, 0)
+        s.f_delete(4, 3)
+        assert s.free_index[4].total == 0
+        assert not s.has_free(4)
+        assert s.held == [0] * 9
 
-    def test_get_free_deterministic_for_same_contents(self):
-        a = FreeNeighborIndex(16, 4)
-        b = FreeNeighborIndex(16, 4)
-        for x in (9, 2, 14):
-            a.insert(x)
-        for x in (14, 9, 2):
-            b.insert(x)
-        assert a.get_free() == b.get_free() == 2
+    def test_get_free_deterministic_for_same_history(self):
+        a = FreeNeighborIndex([0] * 16)
+        b = FreeNeighborIndex([0] * 16)
+        for fni in (a, b):
+            for x in (9, 2, 14):
+                fni.insert(x)
+            fni.delete(2)
+        assert a.get_free() == b.get_free()
 
-    @given(st.sets(st.integers(0, 30)), st.integers(1, 7))
-    def test_matches_reference_set(self, members, threshold):
-        fni = FreeNeighborIndex(31, threshold)
-        for x in members:
-            fni.insert(x)
-        assert fni.total == len(members)
-        assert fni.check_integrity()
-        assert fni.get_free() == (min(members) if members else None)
-        for x in sorted(members):
-            fni.delete(x)
-        assert fni.total == 0
-        assert fni.check_integrity()
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 3), st.booleans(), st.integers(0, 30)),
+            max_size=200,
+        )
+    )
+    def test_matches_reference_set(self, ops):
+        n = 31
+        held = [0] * n
+        indexes = [FreeNeighborIndex(held) for _ in range(4)]
+        reference = [set() for _ in indexes]
+        for i, insert, u in ops:
+            if insert:
+                indexes[i].insert(u)
+                reference[i].add(u)
+            else:
+                indexes[i].delete(u)
+                reference[i].discard(u)
+            fni, ref = indexes[i], reference[i]
+            assert set(fni) == ref
+            assert fni.total == len(fni.members) == len(ref)
+            assert fni.has_free() == bool(ref)
+            if ref:
+                assert fni.get_free() in ref
+            else:
+                assert fni.get_free() is None
+        for u in range(n):
+            assert held[u] == sum(u in ref for ref in reference)
+            assert all((u in fni) == (u in ref) for fni, ref in zip(indexes, reference))
 
 
 class TestIndexableSet:

@@ -3,8 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dynmatch.engine as eng
-from dynmatch import Config, check_invariants, find_3_aug_path, new_state
+from dynmatch import Config, check_invariants, find_3_aug_path, gen_named, gen_random, new_state
 from dynmatch.engine import (
+    apply_update,
     check_3_aug_path,
     delete_edge,
     deterministic_raise_level_to_1,
@@ -489,4 +490,79 @@ def test_random_interleavings_stay_clean(n, threshold, seed, picks):
         assert len(trace) <= 30
         rep = check_invariants(s)
         assert rep.ok, rep.to_text()
+        for u in range(n):
+            assert s.held[u] == sum(u in s.free_index[w] for w in range(n))
     assert find_3_aug_path(s.adj, s.mate) is None
+
+
+def fingerprint(s):
+    """Everything an update may touch, in layout order."""
+    return (
+        [list(a) for a in s.adj],
+        list(s.mate),
+        list(s.level),
+        [list(o) for o in s.owners],
+        [list(f) for f in s.free_index],
+        list(s.held),
+        s.edge_count,
+        s.matching_size,
+        s.update_index,
+        list(s.trace),
+        s.flag,
+        s.rng.getstate(),
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rejected_update_leaves_state_unchanged(seed):
+    n = 8
+    s = new_state(Config(n=n, threshold=2, seed=seed))
+    for i, op in enumerate(gen_random(n, 60, 0.6, seed=seed).ops):
+        apply_update(s, op.kind, op.u, op.v)
+        if i % 10:
+            continue
+        present = next((u, v) for u in range(n) for v in s.adj[u])
+        absent = next(
+            (u, v) for u in range(n) for v in range(u + 1, n) if v not in s.adj[u]
+        )
+        rejected = [
+            ("+", 3, 3),
+            ("+", *present),
+            ("-", *absent),
+            ("+", 0, n),
+            ("-", 0, n),
+            ("+", -1, 0),
+            ("-", -1, 0),
+            ("+", 0, -1),
+            ("*", *absent),
+        ]
+        for kind, u, v in rejected:
+            before = fingerprint(s)
+            with pytest.raises(ValueError):
+                apply_update(s, kind, u, v)
+            assert fingerprint(s) == before, (kind, u, v)
+            rep = check_invariants(s)
+            assert rep.ok, rep.to_text()
+
+
+@pytest.mark.parametrize("threshold", [None, 3])
+@pytest.mark.parametrize(
+    "pattern", ["star-churn", "clique-build-teardown", "path-zipper"]
+)
+def test_named_pattern_replays_clean(pattern, threshold):
+    """Every update of a named pattern verifies clean within the trace
+    bound, and a second replay yields the same traces."""
+    seq = gen_named(pattern, 64, 0)
+    runs = []
+    for replay in range(2):
+        s = new_state(Config(n=seq.n, threshold=threshold, seed=9))
+        traces = []
+        for op in seq.ops:
+            trace = apply_update(s, op.kind, op.u, op.v)
+            assert len(trace) <= 30
+            traces.append(trace.calls)
+            if replay == 0:
+                rep = check_invariants(s)
+                assert rep.ok, f"{op}: {rep.to_text()}"
+        runs.append(traces)
+    assert runs[0] == runs[1]
