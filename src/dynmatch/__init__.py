@@ -9,7 +9,6 @@ generators, and epoch-level metrics.
 from .core import Config, FreeNeighborIndex, IndexableSet, State, default_threshold, new_state
 from .engine import (
     PROCEDURE_NAMES,
-    ProcedureTrace,
     apply_update,
     delete_edge,
     insert_edge,
@@ -46,7 +45,6 @@ __all__ = [
     "IndexableSet",
     "new_state",
     "default_threshold",
-    "ProcedureTrace",
     "PROCEDURE_NAMES",
     "insert_edge",
     "delete_edge",

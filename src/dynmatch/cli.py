@@ -82,7 +82,7 @@ def replay_sequence(
         elapsed = perf() - t0
         if stats is not None:
             stats.record_update(
-                i, op.kind, op.u, op.v, trace.names(), state.matching_size, elapsed
+                i, op.kind, op.u, op.v, [c[0] for c in trace], state.matching_size, elapsed
             )
         if verify_every and (i + 1) % verify_every == 0:
             rep = check_invariants(state)

@@ -2,8 +2,10 @@
 
 Holds the graph adjacency, the matching (mate map), the two-level vertex
 partition, per-vertex ownership lists, and per-vertex free-neighbor indexes.
-All update-time operations here are O(1), ``get_free`` included.  Update
-logic lives in :mod:`dynmatch.engine`.
+Both per-vertex containers are dicts mapping each member to its slot in a
+dense list, so membership and size are C-level dict operations.  All
+update-time operations here are O(1), ``get_free`` included.  Update logic
+lives in :mod:`dynmatch.engine`.
 """
 
 from __future__ import annotations
@@ -40,90 +42,83 @@ class Config:
             raise ValueError(f"threshold must be >= 1, got {self.threshold}")
 
 
-class IndexableSet:
+class IndexableSet(dict):
     """Set of ints with O(1) add/remove/contains and O(1) uniform sampling.
 
-    A dense list backs the sampling; removal swaps the victim with the last
-    list element so both structures stay consistent without shifting.
+    The dict maps each member to its slot in the dense list ``_items``, so
+    ``in``, ``len`` and truthiness are the dict's own C-level operations.
+    The list backs the sampling; removal swaps the victim with the last list
+    element so both structures stay consistent without shifting.  Iteration
+    yields the members in dense-list order.
     """
 
-    __slots__ = ("_pos", "_items")
+    __slots__ = ("_items",)
 
     def __init__(self) -> None:
-        self._pos: dict[int, int] = {}
         self._items: list[int] = []
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __contains__(self, x: int) -> bool:
-        return x in self._pos
 
     def __iter__(self):
         return iter(self._items)
 
     def add(self, x: int) -> None:
-        if x in self._pos:
+        if x in self:
             raise ValueError(f"{x} already present")
-        self._pos[x] = len(self._items)
+        self[x] = len(self._items)
         self._items.append(x)
 
     def remove(self, x: int) -> None:
-        pos = self._pos.pop(x, None)
+        pos = self.pop(x, None)
         if pos is None:
             raise ValueError(f"{x} not present")
-        last = self._items.pop()
+        items = self._items
+        last = items.pop()
         if last != x:
-            self._items[pos] = last
-            self._pos[last] = pos
+            items[pos] = last
+            self[last] = pos
 
     def sample(self, rng: random.Random) -> int:
-        if not self._items:
+        items = self._items
+        if not items:
             raise ValueError("cannot sample from an empty set")
-        return self._items[rng.randrange(len(self._items))]
-
-    def sorted_items(self) -> list[int]:
-        return sorted(self._items)
+        return items[rng.randrange(len(items))]
 
 
 class FreeNeighborIndex(IndexableSet):
     """Free-neighbor index F(v) for one vertex: a dense swap-remove set.
 
-    ``insert``, ``delete``, ``has_free`` and ``get_free`` are all O(1).
-    ``get_free`` hands back the last member of the dense list, not the
-    lowest id: the analysis only needs *some* free neighbor.
+    ``insert``, ``delete`` and ``get_free`` are all O(1); ``len`` and
+    truthiness answer "how many" and "any" at C level.  ``get_free`` hands
+    back the last member of the dense list, not the lowest id: the analysis
+    only needs *some* free neighbor.
 
     ``held`` is a per-vertex count shared by every index of one state:
     ``held[u]`` is how many indexes contain u.  It changes only here, so
     callers can skip a neighborhood scan for a vertex no index holds.
-    ``members`` is the position map, read as the member set; ``total`` is
-    a running count of it that the verifier checks against its length.
     """
 
-    __slots__ = ("members", "total", "held")
+    __slots__ = ("held",)
 
     def __init__(self, held: list[int]) -> None:
-        super().__init__()
-        self.members = self._pos
-        self.total = 0
+        self._items = []
         self.held = held
 
     def insert(self, u: int) -> None:
         """Add u; inserting a present member is a no-op."""
-        if u not in self.members:
-            self.add(u)
-            self.total += 1
+        if u not in self:
+            self[u] = len(self._items)
+            self._items.append(u)
             self.held[u] += 1
 
     def delete(self, u: int) -> None:
         """Remove u; deleting an absent member is a no-op."""
-        if u in self.members:
-            self.remove(u)
-            self.total -= 1
+        pos = self.pop(u, None)
+        if pos is not None:
+            items = self._items
+            last = items.pop()
+            if last != u:
+                items[pos] = last
+                self[last] = pos
             self.held[u] -= 1
-
-    def has_free(self) -> bool:
-        return self.total > 0
 
     def get_free(self) -> int | None:
         """Some member (the last one in the dense list), or None."""
@@ -164,9 +159,6 @@ class State:
     def n(self) -> int:
         return self.config.n
 
-    def deg(self, v: int) -> int:
-        return len(self.adj[v])
-
     def check_vertex(self, v: int) -> None:
         if not 0 <= v < self.config.n:
             raise ValueError(f"vertex {v} out of range [0, {self.config.n})")
@@ -184,12 +176,6 @@ class State:
         self.edge_count -= 1
 
     # -- free-neighbor index -----------------------------------------------
-
-    def has_free(self, v: int) -> bool:
-        return self.free_index[v].total > 0
-
-    def get_free(self, v: int) -> int | None:
-        return self.free_index[v].get_free()
 
     def f_insert(self, v: int, u: int) -> None:
         """Record u as a free neighbor of v (idempotent).

@@ -22,8 +22,6 @@ the eight named procedures are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .core import State
 
 PROCEDURE_NAMES = (
@@ -38,24 +36,10 @@ PROCEDURE_NAMES = (
 )
 
 
-@dataclass
-class ProcedureTrace:
-    """Procedure calls recorded during one update, in call order."""
-
-    calls: list[tuple] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.calls)
-
-    def names(self) -> list[str]:
-        return [c[0] for c in self.calls]
-
-
-def _begin_update(state: State, kind: str, u: int, v: int) -> ProcedureTrace:
+def _begin_update(state: State, kind: str, u: int, v: int) -> list[tuple]:
     state.update_index += 1
     state.flag = False
-    trace = ProcedureTrace()
-    state.trace = trace.calls
+    trace = state.trace = []
     obs = state.observer
     if obs is not None:
         obs.on_update_begin(state.update_index, kind, u, v)
@@ -108,23 +92,20 @@ def check_3_aug_path(state: State, u: int, v: int) -> int | None:
     if y is None:
         raise ValueError(f"check_3_aug_path: {v} is unmatched")
     fy = state.free_index[y]
-    removed = False
-    if u in fy.members:
+    if u in fy:
         fy.delete(u)
-        removed = True
-    z = fy.get_free()
-    if removed:
+        z = fy.get_free()
         fy.insert(u)
-    return z
+        return z
+    return fy.get_free()
 
 
 def transfer_ownership_from(state: State, u: int) -> None:
     """Hand u's edges whose other endpoint sits at level 1 to that endpoint."""
     level = state.level
-    for w in list(state.owners[u]):
-        if level[w] == 1:
-            state.own_remove(u, w)
-            state.own_add(w, u)
+    for w in [w for w in state.owners[u]._items if level[w]]:
+        state.own_remove(u, w)
+        state.own_add(w, u)
 
 
 def transfer_ownership_to(state: State, u: int) -> None:
@@ -183,18 +164,19 @@ def naive_settle_augmented(state: State, u: int, flag: int) -> None:
     """
     state.trace.append(("naive_settle_augmented", u, flag))
     mate = state.mate
+    adj = state.adj
     threshold = state.threshold
-    if state.has_free(u):
-        w = state.get_free(u)
+    w = state.free_index[u].get_free()
+    if w is not None:
         _match(state, u, w, "naive_settle_augmented")
-        if state.deg(u) >= threshold:
+        if len(adj[u]) >= threshold:
             if flag:
                 deterministic_raise_level_to_1(state, u)
                 delete_from_f_list(state, u)
                 delete_from_f_list(state, w)
             else:
                 randomised_raise_level_to_1(state, u)
-        elif state.deg(w) >= threshold:
+        elif len(adj[w]) >= threshold:
             if flag:
                 deterministic_raise_level_to_1(state, w)
                 delete_from_f_list(state, u)
@@ -207,7 +189,7 @@ def naive_settle_augmented(state: State, u: int, flag: int) -> None:
             delete_from_f_list(state, u)
             delete_from_f_list(state, w)
     else:
-        for x in sorted(state.adj[u]):
+        for x in sorted(adj[u]):
             if mate[x] is None:
                 continue
             z = check_3_aug_path(state, u, x)
@@ -233,7 +215,7 @@ def random_settle_augmented(state: State, u: int) -> int | None:
     init = None
     if obs is not None:
         init = tuple(
-            (u, w) if u < w else (w, u) for w in state.owners[u].sorted_items()
+            (u, w) if u < w else (w, u) for w in sorted(state.owners[u])
         )
     y = state.own_sample_uniform(u)
     transfer_ownership_to(state, y)
@@ -249,16 +231,17 @@ def random_settle_augmented(state: State, u: int) -> int | None:
     _match(state, u, y, "random_settle_augmented", random_pick=True, owner=u, init=init)
     delete_from_f_list(state, u)
     delete_from_f_list(state, y)
-    if state.has_free(u):
-        w = state.get_free(u)
+    free_index = state.free_index
+    fu = free_index[u]
+    w = fu.get_free()
+    if w is not None:
         z = check_3_aug_path(state, w, u)
         if z is not None:
             fix_3_aug_path_d(state, w, u, y, z)
-        elif w in state.free_index[y].members:
+        elif w in free_index[y]:
             # F(y) is exactly {w}: any surviving path must end at w on
             # y's side, so retry the near side with a different free
             # neighbor of u.
-            fu = state.free_index[u]
             fu.delete(w)
             x2 = fu.get_free()
             fu.insert(w)
@@ -355,6 +338,7 @@ def fix_3_aug_path(state: State, u: int, v: int, y: int, z: int) -> None:
     state.trace.append(("fix_3_aug_path", u, v, y, z))
     mate = state.mate
     level = state.level
+    adj = state.adj
     threshold = state.threshold
     _unmatch(state, v, y)
     _match(state, u, v, "fix_3_aug_path")
@@ -364,13 +348,13 @@ def fix_3_aug_path(state: State, u: int, v: int, y: int, z: int) -> None:
     delete_from_f_list(state, u)
     delete_from_f_list(state, z)
     if level[v] == 1:
-        if state.deg(u) >= threshold:
+        if len(adj[u]) >= threshold:
             transfer_ownership_to(state, z)
             level[z] = 1
             randomised_raise_level_to_1(state, u)
             if mate[v] is None and level[v] == 1:
                 handle_delete_level1(state, v, 1)
-        elif state.deg(z) >= threshold:
+        elif len(adj[z]) >= threshold:
             transfer_ownership_to(state, u)
             level[u] = 1
             randomised_raise_level_to_1(state, z)
@@ -382,15 +366,11 @@ def fix_3_aug_path(state: State, u: int, v: int, y: int, z: int) -> None:
             level[u] = 1
             level[z] = 1
     else:
-        if state.deg(u) >= threshold:
+        if len(adj[u]) >= threshold:
             randomised_raise_level_to_1(state, u)
             if mate[v] is None and level[v] == 0:
                 naive_settle_augmented(state, v, 1)
-        if (
-            state.deg(z) >= threshold
-            and mate[z] is not None
-            and level[z] == 0
-        ):
+        if len(adj[z]) >= threshold and mate[z] is not None and level[z] == 0:
             randomised_raise_level_to_1(state, z)
             if mate[y] is None and level[y] == 0:
                 naive_settle_augmented(state, y, 1)
@@ -430,6 +410,7 @@ def handle_insert_level0(state: State, u: int, v: int) -> None:
     state.trace.append(("handle_insert_level0", u, v))
     mate = state.mate
     level = state.level
+    adj = state.adj
     threshold = state.threshold
     owners = state.owners
     if len(owners[u]) >= len(owners[v]):
@@ -455,28 +436,28 @@ def handle_insert_level0(state: State, u: int, v: int) -> None:
         if old_mate is not None and mate[old_mate] is None and level[old_mate] == 0:
             naive_settle_augmented(state, old_mate, 1)
         if not both_free:
-            if mate[v] is not None and state.deg(v) >= threshold and level[v] == 0:
+            if mate[v] is not None and len(adj[v]) >= threshold and level[v] == 0:
                 deterministic_raise_level_to_1(state, v)
     else:
         if mate[v] is not None:
-            if state.deg(v) >= threshold:
+            if len(adj[v]) >= threshold:
                 randomised_raise_level_to_1(state, v)
-                if mate[u] is not None and state.deg(u) >= threshold and level[u] == 0:
+                if mate[u] is not None and len(adj[u]) >= threshold and level[u] == 0:
                     deterministic_raise_level_to_1(state, u)
             elif mate[u] is None:
                 z = check_3_aug_path(state, u, v)
                 if z is not None:
                     fix_3_aug_path(state, u, v, mate[v], z)
-            elif state.deg(u) >= threshold:
+            elif len(adj[u]) >= threshold:
                 randomised_raise_level_to_1(state, u)
         elif mate[u] is not None:
-            if state.deg(u) >= threshold:
+            if len(adj[u]) >= threshold:
                 randomised_raise_level_to_1(state, u)
             elif mate[v] is None:
                 z = check_3_aug_path(state, v, u)
                 if z is not None:
                     fix_3_aug_path(state, v, u, mate[u], z)
-        if both_free and state.deg(u) < threshold and state.deg(v) < threshold:
+        if both_free and len(adj[u]) < threshold and len(adj[v]) < threshold:
             delete_from_f_list(state, u)
             delete_from_f_list(state, v)
 
@@ -486,7 +467,7 @@ def handle_insert_level0(state: State, u: int, v: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def insert_edge(state: State, u: int, v: int) -> ProcedureTrace:
+def insert_edge(state: State, u: int, v: int) -> list[tuple]:
     """Insert edge (u, v) and restore every working rule.
 
     Rejects self-loops and already-present edges.  A free endpoint is
@@ -503,10 +484,11 @@ def insert_edge(state: State, u: int, v: int) -> ProcedureTrace:
     trace = _begin_update(state, "+", u, v)
     state.add_edge(u, v)
     mate = state.mate
+    free_index = state.free_index
     if mate[u] is None:
-        state.f_insert(v, u)
+        free_index[v].insert(u)
     if mate[v] is None:
-        state.f_insert(u, v)
+        free_index[u].insert(v)
     lu, lv = state.level[u], state.level[v]
     if lu == 1 and lv == 1:
         if u < v:
@@ -519,7 +501,7 @@ def insert_edge(state: State, u: int, v: int) -> ProcedureTrace:
             z = check_3_aug_path(state, v, u)
             if z is not None:
                 fix_3_aug_path(state, v, u, mate[u], z)
-        elif state.deg(v) >= state.threshold:
+        elif len(state.adj[v]) >= state.threshold:
             randomised_raise_level_to_1(state, v)
     elif lv == 1:
         state.own_add(v, u)
@@ -527,7 +509,7 @@ def insert_edge(state: State, u: int, v: int) -> ProcedureTrace:
             z = check_3_aug_path(state, u, v)
             if z is not None:
                 fix_3_aug_path(state, u, v, mate[v], z)
-        elif state.deg(u) >= state.threshold:
+        elif len(state.adj[u]) >= state.threshold:
             randomised_raise_level_to_1(state, u)
     else:
         handle_insert_level0(state, u, v)
@@ -535,7 +517,7 @@ def insert_edge(state: State, u: int, v: int) -> ProcedureTrace:
     return trace
 
 
-def delete_edge(state: State, u: int, v: int) -> ProcedureTrace:
+def delete_edge(state: State, u: int, v: int) -> list[tuple]:
     """Delete edge (u, v) and restore every working rule.
 
     Drops the edge from the adjacency, its owner's list, and both
@@ -553,8 +535,8 @@ def delete_edge(state: State, u: int, v: int) -> ProcedureTrace:
         state.own_remove(u, v)
     else:
         state.own_remove(v, u)
-    state.f_delete(u, v)
-    state.f_delete(v, u)
+    state.free_index[u].delete(v)
+    state.free_index[v].delete(u)
     obs = state.observer
     mate = state.mate
     was_matched = mate[u] == v
@@ -579,7 +561,7 @@ def delete_edge(state: State, u: int, v: int) -> ProcedureTrace:
     return trace
 
 
-def apply_update(state: State, kind: str, u: int, v: int) -> ProcedureTrace:
+def apply_update(state: State, kind: str, u: int, v: int) -> list[tuple]:
     """Dispatch one update op; ``kind`` is "+" (insert) or "-" (delete)."""
     if kind == "+":
         return insert_edge(state, u, v)

@@ -129,16 +129,18 @@ def check_invariants(state: State) -> ViolationReport:
     # vertex never owns an edge into level 1.
     total_owned = 0
     for u in range(n):
-        owned = owners[u]._pos
+        owned = owners[u]
         total_owned += len(owned)
+        if len(owned._items) != len(owned):
+            add(Violation("OWN", (u,), "dense list and position map differ in length"))
         if not owned.keys() <= adj[u]:
             for w in owned.keys() - adj[u]:
                 add(Violation("OWN", (u, w), "owned entry is not an edge"))
         if level[u] == 0:
             for w in owned.keys() & level1:
                 add(Violation("OWN", (u, w), "level-0 endpoint owns cross-level edge"))
-        for w in owned:
-            if u in owners[w]._pos:
+        for w in owned.keys():
+            if u in owners[w]:
                 if u < w:
                     add(Violation("OWN", (u, w), "edge owned by both endpoints"))
     if total_owned != state.edge_count:
@@ -153,19 +155,19 @@ def check_invariants(state: State) -> ViolationReport:
     # Free-neighbor indexes: every F(v) is exactly v's free neighbors.
     # Totals plus presence of every true (free, neighbor) pair imply set
     # equality without intersecting every neighborhood.
+    free_index = state.free_index
     expected_pairs = 0
     for f in free:
         expected_pairs += len(adj[f])
         for w in adj[f]:
-            if f not in state.free_index[w].members:
+            if f not in free_index[w]:
                 add(Violation("F", (w, f), f"free neighbor {f} missing from index of {w}"))
     actual_pairs = 0
     for v in range(n):
-        fi = state.free_index[v]
-        members = fi.members
-        actual_pairs += len(members)
-        if fi.total != len(members):
-            add(Violation("F", (v,), "index total out of sync"))
+        fi = free_index[v]
+        actual_pairs += len(fi)
+        if len(fi._items) != len(fi):
+            add(Violation("F", (v,), "dense list and position map differ in length"))
     if actual_pairs != expected_pairs:
         add(
             Violation(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 INSERT = "+"
 DELETE = "-"
@@ -26,8 +27,7 @@ class SequenceFormatError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class UpdateOp:
+class UpdateOp(NamedTuple):
     kind: str  # INSERT or DELETE
     u: int
     v: int

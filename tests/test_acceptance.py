@@ -39,8 +39,7 @@ def _replay_checked(seq, *, seed, threshold=None, verify_every=1, agg=None):
     state = State(Config(n=seq.n, threshold=threshold, seed=seed))
     t0 = time.perf_counter()
     for i, op in enumerate(seq.ops):
-        trace = apply_update(state, op.kind, op.u, op.v)
-        calls = trace.calls
+        calls = apply_update(state, op.kind, op.u, op.v)
         if len(calls) > agg.max_trace:
             agg.max_trace = len(calls)
         for entry in calls:
@@ -86,9 +85,9 @@ def crit3(request):
         state = State(Config(n=12, seed=30_000 + s))
         for i, op in enumerate(seq.ops):
             trace = apply_update(state, op.kind, op.u, op.v)
-            if len(trace.calls) > agg.max_trace:
-                agg.max_trace = len(trace.calls)
-            for entry in trace.calls:
+            if len(trace) > agg.max_trace:
+                agg.max_trace = len(trace)
+            for entry in trace:
                 agg.procedures[entry[0]] += 1
             rep = check_invariants(state)
             if not rep.ok:
@@ -129,7 +128,7 @@ def crit56(request):
             state.edge_count == 0
             and state.matching_size == 0
             and all(len(o) == 0 for o in state.owners)
-            and all(f.total == 0 for f in state.free_index)
+            and all(len(f) == 0 for f in state.free_index)
         )
         if not empty:
             closure_failures.append(
@@ -253,7 +252,7 @@ def test_criterion_8_determinism():
         for i, op in enumerate(seq.ops):
             trace = apply_update(state, op.kind, op.u, op.v)
             stats.record_update(
-                i, op.kind, op.u, op.v, trace.names(), state.matching_size, 0
+                i, op.kind, op.u, op.v, [c[0] for c in trace], state.matching_size, 0
             )
             fp = hash((fp, tuple(state.mate)))
         stats.final_edge_count = state.edge_count

@@ -46,8 +46,8 @@ class TestConfig:
 class TestFreeNeighborIndex:
     def test_empty_has_free_false(self):
         s = make_state(4)
-        assert not s.has_free(0)
-        assert s.get_free(0) is None
+        assert not s.free_index[0]
+        assert s.free_index[0].get_free() is None
 
     def test_get_free_returns_member(self):
         fni = FreeNeighborIndex([0] * 8)
@@ -58,33 +58,33 @@ class TestFreeNeighborIndex:
         assert fni.get_free() in {3, 7}
         fni.delete(fni.get_free())
         assert fni.get_free() is None
-        assert not fni.has_free()
+        assert not fni
 
     def test_insert_idempotent(self):
         held = [0] * 8
         fni = FreeNeighborIndex(held)
         fni.insert(5)
         fni.insert(5)
-        assert fni.total == 1
+        assert len(fni) == 1
         assert held[5] == 1
         fni.delete(5)
-        assert fni.total == 0
+        assert len(fni) == 0
         assert held[5] == 0
         fni.delete(5)
-        assert fni.total == 0
+        assert len(fni) == 0
         assert held[5] == 0
 
     def test_total_and_has_free_exact(self):
         s = make_state(9)
         s.f_insert(4, 0)
         s.f_insert(4, 3)
-        assert s.free_index[4].total == 2
-        assert s.has_free(4)
+        assert len(s.free_index[4]) == 2
+        assert s.free_index[4]
         assert s.held[0] == s.held[3] == 1
         s.f_delete(4, 0)
         s.f_delete(4, 3)
-        assert s.free_index[4].total == 0
-        assert not s.has_free(4)
+        assert len(s.free_index[4]) == 0
+        assert not s.free_index[4]
         assert s.held == [0] * 9
 
     def test_get_free_deterministic_for_same_history(self):
@@ -116,12 +116,14 @@ class TestFreeNeighborIndex:
                 reference[i].discard(u)
             fni, ref = indexes[i], reference[i]
             assert set(fni) == ref
-            assert fni.total == len(fni.members) == len(ref)
-            assert fni.has_free() == bool(ref)
+            assert len(fni) == len(fni._items) == len(ref)
+            assert bool(fni) == bool(ref)
+            assert (u in fni) == (u in ref)
             if ref:
                 assert fni.get_free() in ref
             else:
                 assert fni.get_free() is None
+            assert held[u] == sum(u in r for r in reference)
         for u in range(n):
             assert held[u] == sum(u in ref for ref in reference)
             assert all((u in fni) == (u in ref) for fni, ref in zip(indexes, reference))
@@ -154,20 +156,53 @@ class TestIndexableSet:
         with pytest.raises(ValueError):
             s.sample(random.Random(0))
 
-    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 9))))
-    def test_mirrors_a_plain_set(self, ops):
+    def test_iteration_follows_dense_list_after_swap_remove(self):
+        s = IndexableSet()
+        for x in (1, 2, 3, 4):
+            s.add(x)
+        s.remove(2)  # the last member, 4, moves into 2's slot
+        assert list(s) == [1, 4, 3]
+        s.remove(3)
+        s.add(2)
+        assert list(s) == [1, 4, 2]
+
+    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 9))), st.integers(0, 2**16))
+    def test_mirrors_a_plain_set(self, ops, seed):
         s = IndexableSet()
         ref = set()
+        order = []  # the dense list, swap-remove included
+        rng = random.Random(seed)
         for is_add, x in ops:
             if is_add:
                 if x not in ref:
                     s.add(x)
                     ref.add(x)
+                    order.append(x)
             elif x in ref:
                 s.remove(x)
                 ref.remove(x)
-        assert set(s) == ref
-        assert len(s) == len(ref)
+                i = order.index(x)
+                last = order.pop()
+                if last != x:
+                    order[i] = last
+            assert len(s) == len(ref)
+            assert bool(s) == bool(ref)
+            assert all((y in s) == (y in ref) for y in range(10))
+            assert list(s) == order
+            if ref:
+                assert s.sample(rng) in ref
+
+
+class TestProtocol:
+    """Membership and size must stay the dict's C-level slots: a Python
+    ``__contains__`` or ``__len__`` here would add a call to every ownership
+    test and free-index probe on the update path."""
+
+    @pytest.mark.parametrize("cls", [IndexableSet, FreeNeighborIndex])
+    def test_membership_and_size_are_dict_slots(self, cls):
+        assert cls.__contains__ is dict.__contains__
+        assert cls.__len__ is dict.__len__
+        assert not hasattr(cls, "__bool__")
 
 
 class TestOwnership:

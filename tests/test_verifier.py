@@ -181,6 +181,33 @@ class TestCheckInvariants:
         rep = check_invariants(s)
         assert "F" in rep.ids()
 
+    @staticmethod
+    def _matched_path_012():
+        """Path 0-1-2 with (0, 1) matched and 2 recorded free in F(1)."""
+        s = new_state(Config(n=3, threshold=3))
+        s.add_edge(0, 1)
+        s.own_add(0, 1)
+        s.add_edge(1, 2)
+        s.own_add(1, 2)
+        s.set_match(0, 1)
+        s.f_insert(1, 2)
+        assert check_invariants(s).ok
+        return s
+
+    def test_free_index_length_mismatch_reported(self):
+        s = self._matched_path_012()
+        s.free_index[1]._items.append(2)
+        rep = check_invariants(s)
+        assert rep.ids() == {"F"}
+        assert [v.subject for v in rep.violations] == [(1,)]
+
+    def test_ownership_length_mismatch_reported(self):
+        s = self._matched_path_012()
+        s.owners[0]._items.append(1)
+        rep = check_invariants(s)
+        assert rep.ids() == {"OWN"}
+        assert [v.subject for v in rep.violations] == [(0,)]
+
     def test_mate_asymmetry_reported(self):
         s = new_state(Config(n=3))
         s.add_edge(0, 1)

@@ -84,7 +84,7 @@ class TestGenNamed:
         state = State(Config(n=6, threshold=threshold, seed=1))
         seen = set()
         for op in seq.ops:
-            seen.update(apply_update(state, op.kind, op.u, op.v).names())
+            seen.update(c[0] for c in apply_update(state, op.kind, op.u, op.v))
         assert "randomised_raise_level_to_1" in seen
 
     def test_unknown_pattern(self):
