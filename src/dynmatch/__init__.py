@@ -6,7 +6,7 @@ independent invariant verifier, an exact small-instance oracle, workload
 generators, and epoch-level metrics.
 """
 
-from .core import Config, FreeNeighborIndex, IndexableSet, State, default_threshold, new_state
+from .core import Config, FreeNeighborIndex, IndexableSet, State, default_threshold
 from .engine import (
     PROCEDURE_NAMES,
     apply_update,
@@ -43,7 +43,6 @@ __all__ = [
     "State",
     "FreeNeighborIndex",
     "IndexableSet",
-    "new_state",
     "default_threshold",
     "PROCEDURE_NAMES",
     "insert_edge",

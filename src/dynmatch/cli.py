@@ -214,6 +214,18 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dynmatch",
@@ -241,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threshold", type=int, default=None)
         if not oracle:
-            p.add_argument("--verify-every", type=int, default=1,
+            p.add_argument("--verify-every", type=_int_at_least(0), default=1,
                            help="0 verifies only at the end")
         p.add_argument("--teardown", action="store_true",
                        help="append deletes of all remaining edges")
@@ -251,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="amortized update-time scaling")
     p_bench.add_argument("--n-list", type=lambda s: [int(x) for x in s.split(",")],
                          required=True)
-    p_bench.add_argument("--updates-per-n", type=int, default=10,
+    p_bench.add_argument("--updates-per-n", type=_int_at_least(1), default=10,
                          help="updates per vertex: t = factor * n")
     p_bench.add_argument("--p-insert", type=float, default=0.6)
     p_bench.add_argument("--seed", type=int, default=0)

@@ -6,6 +6,11 @@ Both per-vertex containers are dicts mapping each member to its slot in a
 dense list, so membership and size are C-level dict operations.  All
 update-time operations here are O(1), ``get_free`` included.  Update logic
 lives in :mod:`dynmatch.engine`.
+
+A container that holds nothing allocates nothing: an untouched vertex's
+adjacency is the shared :data:`EMPTY_ADJ`, and an empty ownership list or
+free index keeps ``()`` as its dense list and no dict key table.  So a
+fresh state costs two small objects and a few pointers per vertex.
 """
 
 from __future__ import annotations
@@ -13,6 +18,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+
+# Adjacency of every vertex that has never had an edge.  Shared and
+# immutable; ``State.add_edge`` swaps in a real set on the first edge.
+EMPTY_ADJ: frozenset[int] = frozenset()
 
 
 def default_threshold(n: int) -> int:
@@ -50,12 +59,16 @@ class IndexableSet(dict):
     The list backs the sampling; removal swaps the victim with the last list
     element so both structures stay consistent without shifting.  Iteration
     yields the members in dense-list order.
+
+    An empty set holds ``()`` as its dense list and no key table: the first
+    member binds a fresh list, and the removal that empties the set drops
+    both (a dict keeps its key table through ``pop``, so it is cleared).
     """
 
     __slots__ = ("_items",)
 
     def __init__(self) -> None:
-        self._items: list[int] = []
+        self._items: list[int] | tuple[()] = ()
 
     def __iter__(self):
         return iter(self._items)
@@ -63,8 +76,13 @@ class IndexableSet(dict):
     def add(self, x: int) -> None:
         if x in self:
             raise ValueError(f"{x} already present")
-        self[x] = len(self._items)
-        self._items.append(x)
+        items = self._items
+        if items:
+            self[x] = len(items)
+            items.append(x)
+        else:
+            self[x] = 0
+            self._items = [x]
 
     def remove(self, x: int) -> None:
         pos = self.pop(x, None)
@@ -75,6 +93,9 @@ class IndexableSet(dict):
         if last != x:
             items[pos] = last
             self[last] = pos
+        elif not items:
+            self._items = ()
+            self.clear()
 
     def sample(self, rng: random.Random) -> int:
         items = self._items
@@ -99,14 +120,19 @@ class FreeNeighborIndex(IndexableSet):
     __slots__ = ("held",)
 
     def __init__(self, held: list[int]) -> None:
-        self._items = []
+        self._items = ()
         self.held = held
 
     def insert(self, u: int) -> None:
         """Add u; inserting a present member is a no-op."""
         if u not in self:
-            self[u] = len(self._items)
-            self._items.append(u)
+            items = self._items
+            if items:
+                self[u] = len(items)
+                items.append(u)
+            else:
+                self[u] = 0
+                self._items = [u]
             self.held[u] += 1
 
     def delete(self, u: int) -> None:
@@ -118,6 +144,9 @@ class FreeNeighborIndex(IndexableSet):
             if last != u:
                 items[pos] = last
                 self[last] = pos
+            elif not items:
+                self._items = ()
+                self.clear()
             self.held[u] -= 1
 
     def get_free(self) -> int | None:
@@ -130,16 +159,15 @@ class State:
     """Complete algorithm state over a fixed vertex set [0, n).
 
     Starts as the empty graph: every vertex free, at level 0, owning
-    nothing.  The per-update ``flag`` records whether a randomized settle
-    has happened in the current update; ``trace`` collects the procedure
-    calls of the current update.
+    nothing, with :data:`EMPTY_ADJ` as its adjacency.  ``trace`` collects
+    the procedure calls of the current update.
     """
 
     def __init__(self, config: Config) -> None:
         n = config.n
         self.config = config
         self.threshold = config.threshold
-        self.adj: list[set[int]] = [set() for _ in range(n)]
+        self.adj: list[set[int] | frozenset[int]] = [EMPTY_ADJ] * n
         self.mate: list[int | None] = [None] * n
         self.level: list[int] = [0] * n
         self.owners: list[IndexableSet] = [IndexableSet() for _ in range(n)]
@@ -148,7 +176,6 @@ class State:
             FreeNeighborIndex(self.held) for _ in range(n)
         ]
         self.rng = random.Random(config.seed)
-        self.flag = False
         self.edge_count = 0
         self.matching_size = 0
         self.update_index = -1
@@ -166,28 +193,29 @@ class State:
     # -- adjacency ---------------------------------------------------------
 
     def add_edge(self, u: int, v: int) -> None:
-        self.adj[u].add(v)
-        self.adj[v].add(u)
+        """Record edge (u, v); a vertex's first edge replaces EMPTY_ADJ.
+
+        A set that has emptied since is kept, not swapped back: its hash
+        table's history fixes its iteration order, which the engine's
+        neighborhood scans, and so the ownership layout, depend on.
+        """
+        adj = self.adj
+        a = adj[u]
+        if a is EMPTY_ADJ:
+            adj[u] = {v}
+        else:
+            a.add(v)
+        a = adj[v]
+        if a is EMPTY_ADJ:
+            adj[v] = {u}
+        else:
+            a.add(u)
         self.edge_count += 1
 
     def remove_edge(self, u: int, v: int) -> None:
         self.adj[u].remove(v)
         self.adj[v].remove(u)
         self.edge_count -= 1
-
-    # -- free-neighbor index -----------------------------------------------
-
-    def f_insert(self, v: int, u: int) -> None:
-        """Record u as a free neighbor of v (idempotent).
-
-        Vertex ids are not checked here: the update entry points validate
-        them once.
-        """
-        self.free_index[v].insert(u)
-
-    def f_delete(self, v: int, u: int) -> None:
-        """Drop u from v's free-neighbor index (idempotent)."""
-        self.free_index[v].delete(u)
 
     # -- ownership ---------------------------------------------------------
 
@@ -236,8 +264,3 @@ class State:
 
     def matched_edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u, v in enumerate(self.mate) if v is not None and u < v]
-
-
-def new_state(config: Config) -> State:
-    """Fresh state: n isolated free level-0 vertices, seeded rng."""
-    return State(config)

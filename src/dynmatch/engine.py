@@ -38,7 +38,6 @@ PROCEDURE_NAMES = (
 
 def _begin_update(state: State, kind: str, u: int, v: int) -> list[tuple]:
     state.update_index += 1
-    state.flag = False
     trace = state.trace = []
     obs = state.observer
     if obs is not None:
@@ -247,7 +246,6 @@ def random_settle_augmented(state: State, u: int) -> int | None:
             fu.insert(w)
             if x2 is not None:
                 fix_3_aug_path_d(state, x2, u, y, w)
-    state.flag = True
     return x
 
 

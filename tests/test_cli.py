@@ -62,6 +62,12 @@ class TestRun:
         rc = main(["run", "--input", str(tmp_path / "absent.seq")])
         assert rc == 2
 
+    def test_negative_verify_every_is_exit_2(self, tmp_path, capsys):
+        path = write_zipper(tmp_path)
+        rc = main(["run", "--input", str(path), "--verify-every", "-1"])
+        assert rc == 2
+        assert "--verify-every: must be >= 0, got -1" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_parse_error_exit_2(self, tmp_path, capsys):
@@ -99,6 +105,13 @@ class TestBench:
         assert lines[0] == "n,updates,total_s,amortized_us"
         assert len(lines) == 3
         assert lines[1].startswith("64,128,")
+
+    def test_zero_updates_per_n_is_exit_2(self, capsys):
+        rc = main(["bench", "--n-list", "64", "--updates-per-n", "0"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "--updates-per-n: must be >= 1, got 0" in captured.err
 
 
 class TestViolationExitCode:

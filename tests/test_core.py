@@ -1,15 +1,19 @@
 import math
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dynmatch import Config, FreeNeighborIndex, IndexableSet, default_threshold, new_state
+from dynmatch import Config, FreeNeighborIndex, IndexableSet, State, default_threshold
+from dynmatch.core import EMPTY_ADJ
+from dynmatch.engine import delete_edge, insert_edge
 
 
 def make_state(n, threshold=None, seed=0):
-    return new_state(Config(n=n, threshold=threshold, seed=seed))
+    return State(Config(n=n, threshold=threshold, seed=seed))
 
 
 class TestConfig:
@@ -35,12 +39,48 @@ class TestConfig:
         assert s.matching_size == 0
         assert all(m is None for m in s.mate)
         assert all(lv == 0 for lv in s.level)
-        assert s.flag is False
 
     def test_single_vertex(self):
         s = make_state(1)
         assert s.mate[0] is None
         assert s.level[0] == 0
+
+
+class TestEmptyContainers:
+    """A container that holds nothing allocates nothing."""
+
+    def test_large_state_is_small(self):
+        # About 12.6 MiB: two container objects per vertex plus the
+        # per-vertex lists.  Any allocation held by an empty container
+        # breaks the bound.
+        tracemalloc.start()
+        try:
+            s = State(Config(n=65536))
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert s.n == 65536
+        assert size <= 16 * 2**20
+
+    def test_untouched_adjacency_is_shared_sentinel(self):
+        s = make_state(4)
+        s.add_edge(0, 1)
+        assert s.adj[2] is EMPTY_ADJ and s.adj[3] is EMPTY_ADJ
+        assert s.adj[0] == {1} and s.adj[1] == {0}
+        assert EMPTY_ADJ == frozenset()
+
+    def test_emptied_containers_drop_their_storage(self):
+        s = make_state(4)
+        insert_edge(s, 0, 1)
+        delete_edge(s, 0, 1)
+        fresh_owners = sys.getsizeof(IndexableSet())
+        fresh_index = sys.getsizeof(FreeNeighborIndex(s.held))
+        for v in (0, 1):
+            assert s.owners[v]._items == () and s.free_index[v]._items == ()
+            assert sys.getsizeof(s.owners[v]) == fresh_owners
+            assert sys.getsizeof(s.free_index[v]) == fresh_index
+            # an emptied adjacency set is kept: its table fixes scan order
+            assert type(s.adj[v]) is set and not s.adj[v]
 
 
 class TestFreeNeighborIndex:
@@ -76,13 +116,13 @@ class TestFreeNeighborIndex:
 
     def test_total_and_has_free_exact(self):
         s = make_state(9)
-        s.f_insert(4, 0)
-        s.f_insert(4, 3)
+        s.free_index[4].insert(0)
+        s.free_index[4].insert(3)
         assert len(s.free_index[4]) == 2
         assert s.free_index[4]
         assert s.held[0] == s.held[3] == 1
-        s.f_delete(4, 0)
-        s.f_delete(4, 3)
+        s.free_index[4].delete(0)
+        s.free_index[4].delete(3)
         assert len(s.free_index[4]) == 0
         assert not s.free_index[4]
         assert s.held == [0] * 9
@@ -123,6 +163,7 @@ class TestFreeNeighborIndex:
                 assert fni.get_free() in ref
             else:
                 assert fni.get_free() is None
+                assert fni._items == ()
             assert held[u] == sum(u in r for r in reference)
         for u in range(n):
             assert held[u] == sum(u in ref for ref in reference)
@@ -191,6 +232,8 @@ class TestIndexableSet:
             assert list(s) == order
             if ref:
                 assert s.sample(rng) in ref
+            else:
+                assert s._items == ()
 
 
 class TestProtocol:

@@ -1,11 +1,29 @@
 import hashlib
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 import dynmatch.engine as eng
-from dynmatch import Config, check_invariants, find_3_aug_path, gen_named, gen_random, new_state
+from dynmatch import (
+    Config,
+    FreeNeighborIndex,
+    IndexableSet,
+    State,
+    check_invariants,
+    find_3_aug_path,
+    gen_named,
+    gen_random,
+)
+from dynmatch.core import EMPTY_ADJ
 from dynmatch.engine import (
     apply_update,
     check_3_aug_path,
@@ -26,7 +44,7 @@ from dynmatch.engine import (
 
 
 def make_state(n, threshold=None, seed=0):
-    s = new_state(Config(n=n, threshold=threshold, seed=seed))
+    s = State(Config(n=n, threshold=threshold, seed=seed))
     s.trace = []
     return s
 
@@ -43,8 +61,8 @@ def matched_path_0123(threshold=None):
     add_owned(s, 1, 2)
     add_owned(s, 3, 2)
     s.set_match(1, 2)
-    s.f_insert(1, 0)
-    s.f_insert(2, 3)
+    s.free_index[1].insert(0)
+    s.free_index[2].insert(3)
     return s
 
 
@@ -62,8 +80,8 @@ class TestMacros:
         add_owned(s, 0, 1)
         add_owned(s, 0, 2)
         s.set_match(1, 2)
-        s.f_insert(1, 0)
-        s.f_insert(2, 0)
+        s.free_index[1].insert(0)
+        s.free_index[2].insert(0)
         assert check_3_aug_path(s, 0, 1) is None
         assert 0 in s.free_index[2]
 
@@ -127,8 +145,8 @@ class TestNaiveSettle:
     def test_matches_free_neighbor_small_degrees(self):
         s = make_state(4)
         add_owned(s, 0, 1)
-        s.f_insert(0, 1)
-        s.f_insert(1, 0)
+        s.free_index[0].insert(1)
+        s.free_index[1].insert(0)
         naive_settle_augmented(s, 0, 0)
         assert s.mate[0] == 1
         assert s.level[0] == s.level[1] == 0
@@ -160,8 +178,8 @@ class TestRandomSettle:
     def test_forced_choice_unmatched_pick(self):
         s = make_state(2, threshold=1, seed=3)
         add_owned(s, 0, 1)
-        s.f_insert(0, 1)
-        s.f_insert(1, 0)
+        s.free_index[0].insert(1)
+        s.free_index[1].insert(0)
         assert random_settle_augmented(s, 0) is None
         assert s.mate[0] == 1
         assert s.level[0] == s.level[1] == 1
@@ -195,7 +213,7 @@ class TestRandomSettle:
         add_owned(s, 3, 1)
         add_owned(s, 4, 2)
         for free, of in ((1, 2), (1, 3), (4, 2), (3, 2), (2, 1), (2, 3), (2, 4)):
-            s.f_insert(of, free)
+            s.free_index[of].insert(free)
         random_settle_augmented(s, 2)
         assert all(s.mate[v] is not None for v in (1, 2, 3, 4))
         assert find_3_aug_path(s.adj, s.mate) is None
@@ -209,8 +227,8 @@ class TestDeterministicRaise:
         add_owned(s, 2, 0)
         add_owned(s, 3, 1)
         s.set_match(0, 1)
-        s.f_insert(0, 2)
-        s.f_insert(1, 3)
+        s.free_index[0].insert(2)
+        s.free_index[1].insert(3)
         return s
 
     def test_levels_raised_matching_unchanged(self):
@@ -234,7 +252,7 @@ class TestRandomisedRaise:
         add_owned(s, 0, 1)
         for leaf in (2, 3, 4):
             add_owned(s, leaf, 0)
-            s.f_insert(0, leaf)
+            s.free_index[0].insert(leaf)
         s.set_match(0, 1)
         return s
 
@@ -255,7 +273,7 @@ class TestRandomisedRaise:
         # give the old mate its own free neighbor so the trailing settle bites
         s = self.star(1)
         add_owned(s, 5, 1)
-        s.f_insert(1, 5)
+        s.free_index[1].insert(5)
         randomised_raise_level_to_1(s, 0)
         if s.mate[0] != 1:
             assert s.mate[1] is not None
@@ -274,8 +292,8 @@ def path_for_fix(level_v, threshold=None):
         add_owned(s, 1, 2)
         add_owned(s, 3, 2)
     s.set_match(1, 2)
-    s.f_insert(1, 0)
-    s.f_insert(2, 3)
+    s.free_index[1].insert(0)
+    s.free_index[2].insert(3)
     return s
 
 
@@ -342,7 +360,7 @@ class TestHandleDeleteLevel1:
         s.level[0] = 1
         for leaf in (1, 2):
             add_owned(s, 0, leaf)
-            s.f_insert(0, leaf)
+            s.free_index[0].insert(leaf)
         handle_delete_level1(s, 0, 0)
         assert s.level[0] == 1 and s.mate[0] is not None
         assert check_invariants(s).ok
@@ -351,7 +369,7 @@ class TestHandleDeleteLevel1:
         s = make_state(4, threshold=3)
         s.level[0] = 1
         add_owned(s, 0, 1)
-        s.f_insert(0, 1)
+        s.free_index[0].insert(1)
         handle_delete_level1(s, 0, 0)
         assert s.level[0] == 0
         assert s.mate[0] == 1
@@ -457,17 +475,6 @@ class TestDelete:
         with pytest.raises(ValueError):
             delete_edge(s, 0, 1)
 
-    def test_flag_set_only_by_random_settle(self):
-        s = make_state(6, threshold=2, seed=1)
-        insert_edge(s, 0, 1)
-        assert s.flag is False
-        insert_edge(s, 2, 3)
-        assert s.flag is False
-        insert_edge(s, 0, 2)  # random rematch fires
-        assert s.flag is True
-        insert_edge(s, 4, 5)  # plain match resets per-update flag
-        assert s.flag is False
-
 
 @settings(max_examples=150, deadline=None)
 @given(
@@ -478,7 +485,7 @@ class TestDelete:
 )
 def test_random_interleavings_stay_clean(n, threshold, seed, picks):
     """Apply an arbitrary replayable op sequence; every boundary is clean."""
-    s = new_state(Config(n=n, threshold=threshold, seed=seed))
+    s = State(Config(n=n, threshold=threshold, seed=seed))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     present = set()
     for pick in picks:
@@ -510,7 +517,6 @@ def fingerprint(s):
         s.matching_size,
         s.update_index,
         list(s.trace),
-        s.flag,
         s.rng.getstate(),
     )
 
@@ -518,7 +524,7 @@ def fingerprint(s):
 @pytest.mark.parametrize("seed", range(4))
 def test_rejected_update_leaves_state_unchanged(seed):
     n = 8
-    s = new_state(Config(n=n, threshold=2, seed=seed))
+    s = State(Config(n=n, threshold=2, seed=seed))
     for i, op in enumerate(gen_random(n, 60, 0.6, seed=seed).ops):
         apply_update(s, op.kind, op.u, op.v)
         if i % 10:
@@ -547,6 +553,99 @@ def test_rejected_update_leaves_state_unchanged(seed):
             assert rep.ok, rep.to_text()
 
 
+class UpdateMachine(RuleBasedStateMachine):
+    """Any interleaving of inserts, deletes and rejected updates keeps the
+    state clean, leaves a rejected update's state untouched, and keeps
+    every empty container in its allocation-free form."""
+
+    EMPTY_SIZES = {
+        IndexableSet: sys.getsizeof(IndexableSet()),
+        FreeNeighborIndex: sys.getsizeof(FreeNeighborIndex([])),
+    }
+
+    @initialize(
+        n=st.integers(2, 12),
+        threshold=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def build(self, n, threshold, seed):
+        self.s = State(Config(n=n, threshold=threshold, seed=seed))
+        self.touched = set()
+
+    def _edges(self, present):
+        s = self.s
+        return [
+            (u, v)
+            for u in range(s.n)
+            for v in range(u + 1, s.n)
+            if (v in s.adj[u]) == present
+        ]
+
+    def _draw_pair(self, data, present):
+        """An edge (or non-edge), endpoints in either order."""
+        pair = data.draw(st.sampled_from(self._edges(present)))
+        return data.draw(st.permutations(pair))
+
+    @precondition(lambda self: self._edges(present=False))
+    @rule(data=st.data())
+    def insert(self, data):
+        u, v = self._draw_pair(data, present=False)
+        assert len(insert_edge(self.s, u, v)) <= 30
+        self.touched.update((u, v))
+
+    @precondition(lambda self: self.s.edge_count)
+    @rule(data=st.data())
+    def delete(self, data):
+        u, v = self._draw_pair(data, present=True)
+        assert len(delete_edge(self.s, u, v)) <= 30
+
+    @rule(data=st.data())
+    def rejected(self, data):
+        s = self.s
+        n = s.n
+        vertex = st.integers(0, n - 1)
+        outside = st.sampled_from([-1, n])
+        update = st.sampled_from("+-")
+        ops = [
+            st.tuples(update, vertex).map(lambda t: (t[0], t[1], t[1])),
+            st.tuples(update, outside, vertex),
+            st.tuples(update, vertex, outside),
+            st.tuples(st.just("*"), vertex, vertex),
+        ]
+        for kind, present in (("+", True), ("-", False)):
+            edges = self._edges(present)
+            if edges:
+                ops.append(st.sampled_from(edges).map(lambda e, k=kind: (k, *e)))
+        kind, u, v = data.draw(st.one_of(ops))
+        before = fingerprint(s)
+        with pytest.raises(ValueError):
+            apply_update(s, kind, u, v)
+        assert fingerprint(s) == before
+
+    @invariant()
+    def clean(self):
+        rep = check_invariants(self.s)
+        assert rep.ok, rep.to_text()
+
+    @invariant()
+    def empty_containers_allocate_nothing(self):
+        s = self.s
+        for v in range(s.n):
+            if v not in self.touched:
+                assert s.adj[v] is EMPTY_ADJ
+            for c in (s.owners[v], s.free_index[v]):
+                if not c:
+                    assert c._items == ()
+                    assert sys.getsizeof(c) == self.EMPTY_SIZES[type(c)]
+            assert s.held[v] == sum(v in f for f in s.free_index)
+
+
+TestUpdateMachine = UpdateMachine.TestCase
+TestUpdateMachine.settings = settings(
+    max_examples=50, stateful_step_count=40, deadline=None
+)
+
+
 @pytest.mark.parametrize("threshold", [None, 3])
 @pytest.mark.parametrize(
     "pattern", ["star-churn", "clique-build-teardown", "path-zipper"]
@@ -557,7 +656,7 @@ def test_named_pattern_replays_clean(pattern, threshold):
     seq = gen_named(pattern, 64, 0)
     runs = []
     for replay in range(2):
-        s = new_state(Config(n=seq.n, threshold=threshold, seed=9))
+        s = State(Config(n=seq.n, threshold=threshold, seed=9))
         traces = []
         for op in seq.ops:
             trace = apply_update(s, op.kind, op.u, op.v)
@@ -592,7 +691,7 @@ def test_trajectory_digest_pinned(gen, seed, threshold):
         seq = gen_random(64, 4000, 0.6, seed)
     else:
         seq = gen_named(gen, 64, seed)
-    s = new_state(Config(n=seq.n, threshold=threshold, seed=seed))
+    s = State(Config(n=seq.n, threshold=threshold, seed=seed))
     h = hashlib.sha256()
     for op in seq.ops:
         trace = apply_update(s, op.kind, op.u, op.v)

@@ -10,17 +10,17 @@ from dynmatch import (
     EpochSetRecord,
     EpochTracker,
     RunStats,
+    State,
     classify_epoch_set,
     export,
     gen_random,
-    new_state,
 )
 from dynmatch.cli import replay_sequence
 from dynmatch.engine import apply_update, delete_edge, insert_edge
 
 
 def tracked_state(n, threshold=None, seed=0):
-    s = new_state(Config(n=n, threshold=threshold, seed=seed))
+    s = State(Config(n=n, threshold=threshold, seed=seed))
     tracker = EpochTracker()
     s.observer = tracker
     return s, tracker

@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 from dynmatch import (
     Config,
     OracleLimitError,
+    State,
     brute_force_mcm,
     check_invariants,
     check_ratio,
     find_3_aug_path,
-    new_state,
 )
 
 
@@ -112,38 +112,38 @@ class TestFind3AugPath:
 
 class TestCheckInvariants:
     def test_fresh_state_clean(self):
-        assert check_invariants(new_state(Config(n=6))).ok
+        assert check_invariants(State(Config(n=6))).ok
 
     def test_free_level1_vertex_reported(self):
-        s = new_state(Config(n=4))
+        s = State(Config(n=4))
         s.level[2] = 1
         rep = check_invariants(s)
         assert "1a" in rep.ids()
 
     def test_injected_3_aug_path_reported(self):
-        s = new_state(Config(n=4))
+        s = State(Config(n=4))
         for u, v in path_edges(4):
             s.add_edge(u, v)
             s.own_add(u, v)
         s.set_match(1, 2)
-        s.f_insert(1, 0)
-        s.f_insert(2, 3)
+        s.free_index[1].insert(0)
+        s.free_index[2].insert(3)
         rep = check_invariants(s)
         assert "5" in rep.ids()
         assert "MAX" not in rep.ids()
 
     def test_both_endpoints_free_edge_reported(self):
-        s = new_state(Config(n=2))
+        s = State(Config(n=2))
         s.add_edge(0, 1)
         s.own_add(0, 1)
-        s.f_insert(0, 1)
-        s.f_insert(1, 0)
+        s.free_index[0].insert(1)
+        s.free_index[1].insert(0)
         rep = check_invariants(s)
         assert "MAX" in rep.ids()
         assert "1b" in rep.ids()
 
     def test_double_ownership_reported(self):
-        s = new_state(Config(n=2))
+        s = State(Config(n=2))
         s.add_edge(0, 1)
         s.owners[0].add(1)
         s.owners[1].add(0)
@@ -151,15 +151,15 @@ class TestCheckInvariants:
         assert "OWN" in rep.ids()
 
     def test_unowned_edge_reported(self):
-        s = new_state(Config(n=2))
+        s = State(Config(n=2))
         s.add_edge(0, 1)
-        s.f_insert(0, 1)
-        s.f_insert(1, 0)
+        s.free_index[0].insert(1)
+        s.free_index[1].insert(0)
         rep = check_invariants(s)
         assert "OWN" in rep.ids()
 
     def test_cross_level_ownership_reported(self):
-        s = new_state(Config(n=3, threshold=2))
+        s = State(Config(n=3, threshold=2))
         s.add_edge(0, 1)
         s.add_edge(1, 2)
         s.own_add(0, 1)  # 0 stays level 0, 1 raised below: wrong owner side
@@ -167,30 +167,30 @@ class TestCheckInvariants:
         s.set_match(1, 2)
         s.level[1] = 1
         s.level[2] = 1
-        s.f_insert(1, 0)
+        s.free_index[1].insert(0)
         rep = check_invariants(s)
         assert "OWN" in rep.ids()
 
     def test_stale_free_index_reported(self):
-        s = new_state(Config(n=3))
+        s = State(Config(n=3))
         s.add_edge(0, 1)
         s.own_add(0, 1)
-        s.f_insert(0, 1)
-        s.f_insert(1, 0)
-        s.f_insert(2, 1)  # 1 is not a neighbor of 2
+        s.free_index[0].insert(1)
+        s.free_index[1].insert(0)
+        s.free_index[2].insert(1)  # 1 is not a neighbor of 2
         rep = check_invariants(s)
         assert "F" in rep.ids()
 
     @staticmethod
     def _matched_path_012():
         """Path 0-1-2 with (0, 1) matched and 2 recorded free in F(1)."""
-        s = new_state(Config(n=3, threshold=3))
+        s = State(Config(n=3, threshold=3))
         s.add_edge(0, 1)
         s.own_add(0, 1)
         s.add_edge(1, 2)
         s.own_add(1, 2)
         s.set_match(0, 1)
-        s.f_insert(1, 2)
+        s.free_index[1].insert(2)
         assert check_invariants(s).ok
         return s
 
@@ -209,7 +209,7 @@ class TestCheckInvariants:
         assert [v.subject for v in rep.violations] == [(0,)]
 
     def test_mate_asymmetry_reported(self):
-        s = new_state(Config(n=3))
+        s = State(Config(n=3))
         s.add_edge(0, 1)
         s.own_add(0, 1)
         s.mate[0] = 1
@@ -217,19 +217,19 @@ class TestCheckInvariants:
         assert "SYM" in rep.ids()
 
     def test_degree_rule_reported(self):
-        s = new_state(Config(n=4, threshold=2))
+        s = State(Config(n=4, threshold=2))
         for v in (1, 2, 3):
             s.add_edge(0, v)
             s.own_add(0, v)
         s.set_match(0, 1)
-        s.f_insert(0, 2)
-        s.f_insert(0, 3)
+        s.free_index[0].insert(2)
+        s.free_index[0].insert(3)
         rep = check_invariants(s)
         assert "3" in rep.ids()  # deg(0)=3 >= 2, matched at level 0
         assert "2" in rep.ids()  # |O_0|=3 >= 2 at level 0
 
     def test_level_mismatch_reported(self):
-        s = new_state(Config(n=2))
+        s = State(Config(n=2))
         s.add_edge(0, 1)
         s.own_add(0, 1)
         s.set_match(0, 1)
@@ -238,30 +238,30 @@ class TestCheckInvariants:
         assert "4" in rep.ids()
 
     def test_report_serialization(self):
-        s = new_state(Config(n=4))
+        s = State(Config(n=4))
         s.level[2] = 1
         text = check_invariants(s).to_text()
         assert "1a" in text and text.endswith("\n")
-        assert check_invariants(new_state(Config(n=2))).to_text() == "clean\n"
+        assert check_invariants(State(Config(n=2))).to_text() == "clean\n"
 
 
 class TestCheckRatio:
     def test_empty_graph_true(self):
-        assert check_ratio(new_state(Config(n=3)))
+        assert check_ratio(State(Config(n=3)))
 
     def test_engine_states_always_pass(self):
         from dynmatch import gen_random
         from dynmatch.engine import apply_update
 
         seq = gen_random(10, 150, 0.6, 3)
-        s = new_state(Config(n=10, seed=4))
+        s = State(Config(n=10, seed=4))
         for op in seq.ops:
             apply_update(s, op.kind, op.u, op.v)
             assert check_ratio(s)
 
     def test_half_matching_fails(self):
         # 4-path with only the middle edge matched: optimum 2, 2*2 > 3*1.
-        s = new_state(Config(n=4))
+        s = State(Config(n=4))
         for u, v in path_edges(4):
             s.add_edge(u, v)
             s.own_add(u, v)
@@ -269,7 +269,7 @@ class TestCheckRatio:
         assert not check_ratio(s)
 
     def test_guard_propagates(self):
-        s = new_state(Config(n=40))
+        s = State(Config(n=40))
         k = 0
         for u in range(40):
             for v in range(u + 1, 40):
