@@ -37,6 +37,7 @@ class ReplayResult:
     ratio_failures: int
     ratio_skipped: int
     ratio_checked: int
+    update_ns: int  # wall time inside apply_update, summed over the updates
 
 
 def replay_sequence(
@@ -75,11 +76,13 @@ def replay_sequence(
     report = None
     dirty_at = None
     ratio_failures = ratio_skipped = ratio_checked = 0
+    update_ns = 0
     perf = time.perf_counter_ns
     for i, op in enumerate(seq.ops):
         t0 = perf()
         trace = apply_update(state, op.kind, op.u, op.v)
         elapsed = perf() - t0
+        update_ns += elapsed
         if stats is not None:
             stats.record_update(
                 i, op.kind, op.u, op.v, [c[0] for c in trace], state.matching_size, elapsed
@@ -117,6 +120,7 @@ def replay_sequence(
         ratio_failures=ratio_failures,
         ratio_skipped=ratio_skipped,
         ratio_checked=ratio_checked,
+        update_ns=update_ns,
     )
 
 
@@ -196,11 +200,10 @@ def _cmd_bench(args) -> int:
     for n in args.n_list:
         t = args.updates_per_n * n
         seq = workload.gen_random(n, t, args.p_insert, args.seed)
-        state = State(Config(n=n, threshold=args.threshold, seed=args.seed + 1))
-        t0 = time.perf_counter()
-        for op in seq.ops:
-            apply_update(state, op.kind, op.u, op.v)
-        total = time.perf_counter() - t0
+        result = replay_sequence(
+            seq, seed=args.seed + 1, threshold=args.threshold, verify_every=None
+        )
+        total = result.update_ns / 1e9
         rows.append((n, t, total, 1e6 * total / t))
         print(
             f"bench n={n} t={t} total={total:.2f}s amortized={1e6 * total / t:.2f}us",

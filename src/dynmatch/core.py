@@ -175,6 +175,10 @@ class State:
         self.free_index: list[FreeNeighborIndex] = [
             FreeNeighborIndex(self.held) for _ in range(n)
         ]
+        # Level-1 target sets: only a vertex that handle_delete_level1
+        # re-raised at once holds one, a superset of its owned targets at
+        # level 1, so its next drop skips the scan of its whole list.
+        self.level1_owned: dict[int, set[int]] = {}
         self.rng = random.Random(config.seed)
         self.edge_count = 0
         self.matching_size = 0

@@ -99,22 +99,53 @@ def check_3_aug_path(state: State, u: int, v: int) -> int | None:
     return fy.get_free()
 
 
+def _note_level1(state: State, x: int, w: int) -> None:
+    """Record level-1 target w in x's ``level1_owned`` set, if x holds one."""
+    targets = state.level1_owned.get(x)
+    if targets is not None:
+        targets.add(w)
+
+
 def transfer_ownership_from(state: State, u: int) -> None:
-    """Hand u's edges whose other endpoint sits at level 1 to that endpoint."""
+    """Hand u's edges whose other endpoint sits at level 1 to that endpoint.
+
+    Consumes u's ``state.level1_owned`` set when it holds one: only its
+    candidates still owned and at level 1 move, in ascending slot order,
+    which is the order a scan of the whole list moves them in.  Without a
+    set the whole list is scanned.  Each receiver records u, which is still
+    at level 1 here and may rise again without a scan.
+    """
     level = state.level
-    for w in [w for w in state.owners[u]._items if level[w]]:
+    owned = state.owners[u]
+    targets = state.level1_owned.pop(u, None)
+    if targets is None:
+        moving = [w for w in owned._items if level[w]]
+    else:
+        moving = sorted(
+            [w for w in targets if level[w] and w in owned], key=owned.__getitem__
+        )
+    for w in moving:
         state.own_remove(u, w)
         state.own_add(w, u)
+        _note_level1(state, w, u)
 
 
 def transfer_ownership_to(state: State, u: int) -> None:
-    """Pull in u's edges currently owned by level-0 neighbors."""
+    """Pull in u's edges currently owned by level-0 neighbors.
+
+    Called before u rises to level 1, so a level-1 neighbor that owns its
+    edge to u and holds a ``level1_owned`` set records u there.
+    """
     level = state.level
     owners = state.owners
+    level1_owned = state.level1_owned
     for w in state.adj[u]:
-        if level[w] == 0 and u in owners[w]:
-            state.own_remove(w, u)
-            state.own_add(u, w)
+        if level[w] == 0:
+            if u in owners[w]:
+                state.own_remove(w, u)
+                state.own_add(u, w)
+        elif w in level1_owned and u in owners[w]:
+            level1_owned[w].add(u)
 
 
 def take_ownership(state: State, u: int) -> None:
@@ -218,6 +249,8 @@ def random_settle_augmented(state: State, u: int) -> int | None:
         )
     y = state.own_sample_uniform(u)
     transfer_ownership_to(state, y)
+    # y now owns (y, u), and u rises below without a scan.
+    _note_level1(state, y, u)
     mate = state.mate
     if mate[y] is not None:
         x = mate[y]
@@ -378,13 +411,15 @@ def handle_delete_level1(state: State, u: int, flag: int) -> None:
     """Re-settle a vertex left free at level 1.
 
     u first sheds the edges belonging at its level-1 neighbors and drops to
-    level 0.  A still-large ownership list forces a randomized re-match;
-    otherwise u settles naively.
+    level 0.  A still-large ownership list forces a randomized re-match,
+    and u starts a ``level1_owned`` set so that its next drop visits only
+    the level-1 targets it gains from here on; otherwise u settles naively.
     """
     state.trace.append(("handle_delete_level1", u, flag))
     transfer_ownership_from(state, u)
     state.level[u] = 0
     if len(state.owners[u]) >= state.threshold:
+        state.level1_owned[u] = set()
         x = random_settle_augmented(state, u)
         if x is not None:
             if state.level[x] == 1:
@@ -489,10 +524,9 @@ def insert_edge(state: State, u: int, v: int) -> list[tuple]:
         free_index[u].insert(v)
     lu, lv = state.level[u], state.level[v]
     if lu == 1 and lv == 1:
-        if u < v:
-            state.own_add(u, v)
-        else:
-            state.own_add(v, u)
+        owner, other = (u, v) if u < v else (v, u)
+        state.own_add(owner, other)
+        _note_level1(state, owner, other)
     elif lu == 1:
         state.own_add(u, v)
         if mate[v] is None:

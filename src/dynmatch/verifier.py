@@ -151,6 +151,14 @@ def check_invariants(state: State) -> ViolationReport:
                 f"{total_owned} owned entries for {state.edge_count} edges",
             )
         )
+    # Level-1 target sets: a holder sits at level 1, and its set covers
+    # every owned target at level 1.
+    for x, targets in state.level1_owned.items():
+        if level[x] != 1:
+            add(Violation("OWN", (x,), f"level-1 target set held at level {level[x]}"))
+        for w in owners[x].keys():
+            if level[w] == 1 and w not in targets:
+                add(Violation("OWN", (x, w), "owned level-1 target missing from target set"))
 
     # Free-neighbor indexes: every F(v) is exactly v's free neighbors.
     # Totals plus presence of every true (free, neighbor) pair imply set

@@ -1,0 +1,53 @@
+"""The traced benchmark run (``perfbench/run.py --trace 1``) wraps engine and
+core functions looked up by name, so renaming one would break it without any
+test of the package failing.  These tests read its name lists and check that
+every name still resolves; nothing under ``perfbench/`` is written.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from dynmatch import core, engine
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        from dmbench import tracing
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path.remove(str(ROOT / "perfbench"))
+    return tracing
+
+
+def test_wrapped_macros_are_engine_functions(tracing):
+    assert tracing.MACROS
+    for name in tracing.MACROS:
+        assert callable(getattr(engine, name, None)), name
+    assert set(tracing.TRANSFERS) <= set(tracing.MACROS)
+
+
+def test_wrapped_leaves_are_own_methods_of_core_classes(tracing):
+    assert tracing.LEAVES
+    for stem, cls, attr in tracing.LEAVES:
+        assert getattr(core, cls.__name__) is cls, stem
+        # the tracer patches cls.__dict__[attr]; an inherited method is missed
+        assert callable(cls.__dict__.get(attr)), stem
+
+
+def test_procedures_and_entry_points_exist():
+    assert len(engine.PROCEDURE_NAMES) == 8
+    for name in engine.PROCEDURE_NAMES + ("insert_edge", "delete_edge"):
+        assert callable(getattr(engine, name, None)), name
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    per_layer = {m["name"] for m in benchmark["per_layer"]}
+    for name in engine.PROCEDURE_NAMES:
+        assert f"engine.{name}.calls" in per_layer, name

@@ -106,6 +106,45 @@ class TestMacros:
         assert 0 in s.owners[1]
         assert 2 in s.owners[0]
 
+    @staticmethod
+    def _owner_of_seven():
+        """0 at level 1 owns 1..7 in dense order [1, 7, 3, 4, 5, 6, 2]; 1, 3
+        and 7 sit at level 1, and so does 8, which 0 does not own."""
+        s = make_state(9)
+        for w in range(1, 8):
+            add_owned(s, 0, w)
+        s.own_remove(0, 2)
+        s.own_add(0, 2)
+        for x in (0, 1, 3, 7, 8):
+            s.level[x] = 1
+        return s
+
+    def test_transfer_from_target_set_matches_full_scan(self):
+        """Slot order 1, 7, 3 gives another layout than id or reverse order."""
+        scanned = self._owner_of_seven()
+        transfer_ownership_from(scanned, 0)
+        assert list(scanned.owners[0]) == [2, 6, 5, 4]
+        cached = self._owner_of_seven()
+        cached.level1_owned[0] = {1, 3, 4, 7, 8}  # 4 is at level 0, 8 not owned
+        transfer_ownership_from(cached, 0)
+        assert [list(o) for o in cached.owners] == [list(o) for o in scanned.owners]
+        assert cached.level1_owned == {}
+
+    def test_transfer_from_receiver_records_giver(self):
+        s = self._owner_of_seven()
+        s.level1_owned[3] = set()
+        transfer_ownership_from(s, 0)
+        assert s.level1_owned == {3: {0}}
+
+    def test_transfer_to_records_rising_vertex_at_holder(self):
+        s = make_state(3)
+        add_owned(s, 1, 0)
+        add_owned(s, 2, 0)
+        s.level[1] = s.level[2] = 1
+        s.level1_owned[1] = set()
+        transfer_ownership_to(s, 0)
+        assert s.level1_owned == {1: {0}}
+
     def test_transfer_to_pulls_level0_owned(self):
         s = make_state(4)
         add_owned(s, 1, 0)
@@ -363,6 +402,7 @@ class TestHandleDeleteLevel1:
             s.free_index[0].insert(leaf)
         handle_delete_level1(s, 0, 0)
         assert s.level[0] == 1 and s.mate[0] is not None
+        assert 0 in s.level1_owned
         assert check_invariants(s).ok
 
     def test_small_ownership_settles_naively(self):
@@ -373,6 +413,7 @@ class TestHandleDeleteLevel1:
         handle_delete_level1(s, 0, 0)
         assert s.level[0] == 0
         assert s.mate[0] == 1
+        assert s.level1_owned == {}
         assert check_invariants(s).ok
 
 
@@ -504,6 +545,15 @@ def test_random_interleavings_stay_clean(n, threshold, seed, picks):
     assert find_3_aug_path(s.adj, s.mate) is None
 
 
+def assert_level1_targets_covered(s):
+    """Each level1_owned holder is at level 1, and its set holds every
+    target it owns at level 1 (stale extra entries are allowed)."""
+    for x, targets in s.level1_owned.items():
+        assert s.level[x] == 1, x
+        missing = [w for w in s.owners[x] if s.level[w] == 1 and w not in targets]
+        assert not missing, (x, missing)
+
+
 def fingerprint(s):
     """Everything an update may touch, in layout order."""
     return (
@@ -513,6 +563,7 @@ def fingerprint(s):
         [list(o) for o in s.owners],
         [list(f) for f in s.free_index],
         list(s.held),
+        [(x, sorted(t)) for x, t in s.level1_owned.items()],
         s.edge_count,
         s.matching_size,
         s.update_index,
@@ -628,6 +679,10 @@ class UpdateMachine(RuleBasedStateMachine):
         assert rep.ok, rep.to_text()
 
     @invariant()
+    def level1_targets_covered(self):
+        assert_level1_targets_covered(self.s)
+
+    @invariant()
     def empty_containers_allocate_nothing(self):
         s = self.s
         for v in range(s.n):
@@ -665,14 +720,27 @@ def test_named_pattern_replays_clean(pattern, threshold):
             if replay == 0:
                 rep = check_invariants(s)
                 assert rep.ok, f"{op}: {rep.to_text()}"
+                assert_level1_targets_covered(s)
         runs.append(traces)
     assert runs[0] == runs[1]
+
+
+def test_random_settle_records_its_raised_picker():
+    """The pick of random_settle_augmented pulls (pick, u) and u rises
+    without a scan, so a holder pick must record u itself.  Without that
+    record this replay misses a target at update 30, ``+ 2 4``."""
+    seq = gen_named("clique-build-teardown", 16, 11)
+    s = State(Config(n=seq.n, seed=11))
+    for op in seq.ops:
+        apply_update(s, op.kind, op.u, op.v)
+        assert_level1_targets_covered(s)
 
 
 # sha256 over repr((trace, matching_size, mate)) after every update.  These
 # pin the trajectories: any change to the procedure calls, the matching or
 # the rng draws changes a digest.  An intentional trajectory change must
-# update the constants and say why.
+# update the constants and say why.  A key is (generator, seed, threshold),
+# plus n where it is not 64.
 PINNED_DIGESTS = {
     ("random", 0, None): "123ca0872672b5baf81a05caa822df948f4365920a89a91f4a5b324e1692f831",
     ("random", 0, 3): "5a25db58a82ff4453a6e249f4e18e608aecee4947c63a78945a4127486166f78",
@@ -682,18 +750,52 @@ PINNED_DIGESTS = {
     ("random", 2, 3): "a9dfea3c5b49f75b5e76d084a2dd793397c497a8b8d399dcf3ae247a8b592469",
     ("star-churn", 0, None): "0b6a36deef8d82f8b5fe00741cbfbd89255f720320fc554a1e1702b4d0d1836a",
     ("star-churn", 0, 3): "95d7170fcf4ec12d138bb74387d901394ba1bff668e172e9da134f11be227b50",
+    # the hub re-rises after most drops here, so its level-1 target set
+    # serves most of its ownership hand-overs
+    ("star-churn", 0, None, 256): "bd2c47c983d258bebfaff8656f1678f4b2c45d515060536e21e80a83544ebcc1",
 }
 
 
-@pytest.mark.parametrize("gen, seed, threshold", sorted(PINNED_DIGESTS, key=repr))
-def test_trajectory_digest_pinned(gen, seed, threshold):
+def _pinned_id(key):
+    gen, seed, threshold, *n = key
+    return "-".join(map(str, (gen, *n, seed, threshold)))
+
+
+def _replay_digest(key):
+    gen, seed, threshold, *n = key
+    n = n[0] if n else 64
     if gen == "random":
-        seq = gen_random(64, 4000, 0.6, seed)
+        seq = gen_random(n, 4000, 0.6, seed)
     else:
-        seq = gen_named(gen, 64, seed)
+        seq = gen_named(gen, n, seed)
     s = State(Config(n=seq.n, threshold=threshold, seed=seed))
     h = hashlib.sha256()
     for op in seq.ops:
         trace = apply_update(s, op.kind, op.u, op.v)
         h.update(repr((trace, s.matching_size, s.mate)).encode())
-    assert h.hexdigest() == PINNED_DIGESTS[(gen, seed, threshold)]
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_DIGESTS, key=repr), ids=_pinned_id)
+def test_trajectory_digest_pinned(key):
+    assert _replay_digest(key) == PINNED_DIGESTS[key]
+
+
+def test_hub_transfers_served_from_target_set(monkeypatch):
+    """On star-churn n=256 most of the hub's hand-overs use its level-1
+    target set, and the replay still matches its pinned digest."""
+    key = ("star-churn", 0, None, 256)
+    calls = served = 0
+    scan = eng.transfer_ownership_from
+
+    def counted(state, u):
+        nonlocal calls, served
+        if u == 0:
+            calls += 1
+            served += u in state.level1_owned
+        scan(state, u)
+
+    monkeypatch.setattr(eng, "transfer_ownership_from", counted)
+    assert _replay_digest(key) == PINNED_DIGESTS[key]
+    assert calls > 50
+    assert 2 * served > calls

@@ -208,6 +208,41 @@ class TestCheckInvariants:
         assert rep.ids() == {"OWN"}
         assert [v.subject for v in rep.violations] == [(0,)]
 
+    @staticmethod
+    def _level1_pairs_0123():
+        """Matched level-1 pairs (0, 1) and (2, 3) joined by 1-2, owned by 1,
+        with 1 holding a level-1 target set; 4 is isolated at level 0."""
+        s = State(Config(n=5, threshold=2))
+        for u, v in ((0, 1), (1, 2), (2, 3)):
+            s.add_edge(u, v)
+            s.own_add(u, v)
+        s.set_match(0, 1)
+        s.set_match(2, 3)
+        for u in range(4):
+            s.level[u] = 1
+        s.level1_owned[1] = {2}
+        assert check_invariants(s).ok
+        return s
+
+    def test_level1_target_set_may_hold_stale_entries(self):
+        s = self._level1_pairs_0123()
+        s.level1_owned[1].update((0, 3, 4))
+        assert check_invariants(s).ok
+
+    def test_level1_target_set_missing_target_reported(self):
+        s = self._level1_pairs_0123()
+        s.level1_owned[1].clear()
+        rep = check_invariants(s)
+        assert rep.ids() == {"OWN"}
+        assert [v.subject for v in rep.violations] == [(1, 2)]
+
+    def test_level1_target_set_held_at_level_0_reported(self):
+        s = self._level1_pairs_0123()
+        s.level1_owned[4] = set()
+        rep = check_invariants(s)
+        assert rep.ids() == {"OWN"}
+        assert [v.subject for v in rep.violations] == [(4,)]
+
     def test_mate_asymmetry_reported(self):
         s = State(Config(n=3))
         s.add_edge(0, 1)
