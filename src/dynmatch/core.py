@@ -11,6 +11,13 @@ A container that holds nothing allocates nothing: an untouched vertex's
 adjacency is the shared :data:`EMPTY_ADJ`, and an empty ownership list or
 free index keeps ``()`` as its dense list and no dict key table.  So a
 fresh state costs two small objects and a few pointers per vertex.
+
+Inputs are validated once, at the update boundary: ``apply_update``,
+``insert_edge`` and ``delete_edge`` in :mod:`dynmatch.engine` reject bad
+ids, self-loops, duplicate inserts and absent deletes before any mutation.
+The primitives here trust their callers and re-check nothing;
+:func:`dynmatch.verifier.check_invariants` is the safety net that reports
+any state a wrong call leaves behind.
 """
 
 from __future__ import annotations
@@ -63,6 +70,10 @@ class IndexableSet(dict):
     An empty set holds ``()`` as its dense list and no key table: the first
     member binds a fresh list, and the removal that empties the set drops
     both (a dict keeps its key table through ``pop``, so it is cleared).
+
+    ``add`` takes an absent member and is not checked; ``remove`` of an
+    absent member raises ``KeyError``, and ``sample`` of an empty set
+    ``ValueError``.
     """
 
     __slots__ = ("_items",)
@@ -74,8 +85,6 @@ class IndexableSet(dict):
         return iter(self._items)
 
     def add(self, x: int) -> None:
-        if x in self:
-            raise ValueError(f"{x} already present")
         items = self._items
         if items:
             self[x] = len(items)
@@ -85,9 +94,7 @@ class IndexableSet(dict):
             self._items = [x]
 
     def remove(self, x: int) -> None:
-        pos = self.pop(x, None)
-        if pos is None:
-            raise ValueError(f"{x} not present")
+        pos = self.pop(x)
         items = self._items
         last = items.pop()
         if last != x:
@@ -98,10 +105,7 @@ class IndexableSet(dict):
             self.clear()
 
     def sample(self, rng: random.Random) -> int:
-        items = self._items
-        if not items:
-            raise ValueError("cannot sample from an empty set")
-        return items[rng.randrange(len(items))]
+        return self._items[rng.randrange(len(self))]
 
 
 class FreeNeighborIndex(IndexableSet):
@@ -224,47 +228,15 @@ class State:
     # -- ownership ---------------------------------------------------------
 
     def own_add(self, owner: int, other: int) -> None:
-        """Charge edge (owner, other) to owner's list.
-
-        The edge must exist and must not already sit in either endpoint's
-        list: each edge has exactly one owner.
-        """
-        if other not in self.adj[owner]:
-            raise ValueError(f"({owner}, {other}) is not an edge")
-        if other in self.owners[owner] or owner in self.owners[other]:
-            raise ValueError(f"edge ({owner}, {other}) already owned")
+        """Charge edge (owner, other), which has no owner yet, to owner."""
         self.owners[owner].add(other)
 
     def own_remove(self, owner: int, other: int) -> None:
-        if other not in self.owners[owner]:
-            raise ValueError(f"edge ({owner}, {other}) not owned by {owner}")
         self.owners[owner].remove(other)
 
     def own_sample_uniform(self, owner: int) -> int:
         """Other endpoint of an edge drawn uniformly from owner's list."""
         return self.owners[owner].sample(self.rng)
-
-    # -- matching ----------------------------------------------------------
-
-    def set_match(self, u: int, v: int) -> None:
-        mate = self.mate
-        if u == v:
-            raise ValueError(f"cannot match {u} to itself")
-        if v not in self.adj[u]:
-            raise ValueError(f"({u}, {v}) is not an edge")
-        if mate[u] is not None or mate[v] is not None:
-            raise ValueError(f"set_match({u}, {v}): an endpoint is matched")
-        mate[u] = v
-        mate[v] = u
-        self.matching_size += 1
-
-    def unset_match(self, u: int, v: int) -> None:
-        mate = self.mate
-        if mate[u] != v or mate[v] != u:
-            raise ValueError(f"({u}, {v}) is not a matched pair")
-        mate[u] = None
-        mate[v] = None
-        self.matching_size -= 1
 
     def matched_edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u, v in enumerate(self.mate) if v is not None and u < v]

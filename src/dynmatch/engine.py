@@ -18,6 +18,14 @@ of procedure calls per update bounded by a constant.
 Inline macros (ownership transfers, free-list maintenance, the augmenting
 path probe) are plain loops and are not recorded in the per-update trace;
 the eight named procedures are.
+
+Inputs are validated once: :func:`apply_update` rejects an unknown kind,
+and :func:`insert_edge`/:func:`delete_edge` reject an out-of-range id, a
+self-loop, a duplicate insert and an absent delete before any mutation.
+Below them nothing is re-checked: the procedures, the macros and the
+:mod:`dynmatch.core` primitives trust their callers, and ``_match`` and
+``_unmatch`` are the only writers of the matching.  The verifier is the
+safety net.
 """
 
 from __future__ import annotations
@@ -36,24 +44,12 @@ PROCEDURE_NAMES = (
 )
 
 
-def _begin_update(state: State, kind: str, u: int, v: int) -> list[tuple]:
-    state.update_index += 1
-    trace = state.trace = []
-    obs = state.observer
-    if obs is not None:
-        obs.on_update_begin(state.update_index, kind, u, v)
-    return trace
-
-
-def _end_update(state: State) -> None:
-    obs = state.observer
-    if obs is not None:
-        obs.on_update_end(state.update_index, state.matching_size)
-
-
 def _match(state, u, v, creator, *, random_pick=False, owner=None, init=None):
-    """set_match plus the epoch-creation event for the metrics observer."""
-    state.set_match(u, v)
+    """Match u and v, plus the epoch-creation event for the metrics observer."""
+    mate = state.mate
+    mate[u] = v
+    mate[v] = u
+    state.matching_size += 1
     obs = state.observer
     if obs is not None:
         level = state.level
@@ -69,7 +65,10 @@ def _match(state, u, v, creator, *, random_pick=False, owner=None, init=None):
 
 
 def _unmatch(state, u, v):
-    state.unset_match(u, v)
+    mate = state.mate
+    mate[u] = None
+    mate[v] = None
+    state.matching_size -= 1
     obs = state.observer
     if obs is not None:
         obs.on_match_unset(state.update_index, (u, v) if u < v else (v, u))
@@ -514,7 +513,11 @@ def insert_edge(state: State, u: int, v: int) -> list[tuple]:
         raise ValueError(f"self-loop ({u}, {v}) rejected")
     if v in state.adj[u]:
         raise ValueError(f"edge ({u}, {v}) already present")
-    trace = _begin_update(state, "+", u, v)
+    state.update_index += 1
+    trace = state.trace = []
+    obs = state.observer
+    if obs is not None:
+        obs.on_update_begin(state.update_index, "+", u, v)
     state.add_edge(u, v)
     mate = state.mate
     free_index = state.free_index
@@ -545,7 +548,8 @@ def insert_edge(state: State, u: int, v: int) -> list[tuple]:
             randomised_raise_level_to_1(state, u)
     else:
         handle_insert_level0(state, u, v)
-    _end_update(state)
+    if obs is not None:
+        obs.on_update_end(state.update_index, state.matching_size)
     return trace
 
 
@@ -561,7 +565,11 @@ def delete_edge(state: State, u: int, v: int) -> list[tuple]:
     state.check_vertex(v)
     if v not in state.adj[u]:
         raise ValueError(f"edge ({u}, {v}) not present")
-    trace = _begin_update(state, "-", u, v)
+    state.update_index += 1
+    trace = state.trace = []
+    obs = state.observer
+    if obs is not None:
+        obs.on_update_begin(state.update_index, "-", u, v)
     state.remove_edge(u, v)
     if v in state.owners[u]:
         state.own_remove(u, v)
@@ -569,7 +577,6 @@ def delete_edge(state: State, u: int, v: int) -> list[tuple]:
         state.own_remove(v, u)
     state.free_index[u].delete(v)
     state.free_index[v].delete(u)
-    obs = state.observer
     mate = state.mate
     was_matched = mate[u] == v
     pair_level = max(state.level[u], state.level[v])
@@ -589,7 +596,8 @@ def delete_edge(state: State, u: int, v: int) -> list[tuple]:
                 handle_delete_level1(state, v, 0)
             else:
                 naive_settle_augmented(state, v, 0)
-    _end_update(state)
+    if obs is not None:
+        obs.on_update_end(state.update_index, state.matching_size)
     return trace
 
 

@@ -7,13 +7,29 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dynmatch import Config, FreeNeighborIndex, IndexableSet, State, default_threshold
+from dynmatch import (
+    Config,
+    FreeNeighborIndex,
+    IndexableSet,
+    State,
+    check_invariants,
+    default_threshold,
+)
 from dynmatch.core import EMPTY_ADJ
-from dynmatch.engine import delete_edge, insert_edge
+from dynmatch.engine import _match, _unmatch, delete_edge, insert_edge
 
 
 def make_state(n, threshold=None, seed=0):
     return State(Config(n=n, threshold=threshold, seed=seed))
+
+
+def match(s, u, v):
+    _match(s, u, v, "test")
+
+
+def details(s):
+    """(invariant, detail) of every violation the verifier reports on s."""
+    return {(v.invariant, v.detail) for v in check_invariants(s).violations}
 
 
 class TestConfig:
@@ -182,14 +198,16 @@ class TestIndexableSet:
         assert seen == {4, 9}
 
     def test_add_duplicate_raises(self):
-        s = IndexableSet()
-        s.add(1)
-        with pytest.raises(ValueError):
-            s.add(1)
+        """add trusts its caller; the verifier reports a duplicate add."""
+        s = make_state(2)
+        insert_edge(s, 0, 1)
+        assert 1 in s.owners[0] and check_invariants(s).ok
+        s.owners[0].add(1)
+        assert details(s) == {("OWN", "dense list and position map differ in length")}
 
     def test_remove_absent_raises(self):
         s = IndexableSet()
-        with pytest.raises(ValueError):
+        with pytest.raises(KeyError):
             s.remove(3)
 
     def test_sample_empty_raises(self):
@@ -258,16 +276,18 @@ class TestOwnership:
         assert len(s.owners[0]) == 0
 
     def test_double_ownership_rejected(self):
+        """own_add trusts its caller; the verifier reports a second owner."""
         s = make_state(4)
         s.add_edge(0, 1)
         s.own_add(0, 1)
-        with pytest.raises(ValueError):
-            s.own_add(1, 0)
+        s.own_add(1, 0)
+        assert ("OWN", "edge owned by both endpoints") in details(s)
 
     def test_own_add_requires_edge(self):
+        """own_add trusts its caller; the verifier reports a non-edge."""
         s = make_state(4)
-        with pytest.raises(ValueError):
-            s.own_add(0, 1)
+        s.own_add(0, 1)
+        assert ("OWN", "owned entry is not an edge") in details(s)
 
     def test_remove_middle_keeps_rest_sampleable(self):
         s = make_state(5)
@@ -334,13 +354,16 @@ class TestSamplingUniformity:
 
 
 class TestMatching:
+    """The matching writers trust their callers; a pair they should not
+    have written or cleared shows up in the verifier's SYM check."""
+
     def test_set_and_unset(self):
         s = make_state(4)
         s.add_edge(0, 1)
-        s.set_match(0, 1)
+        match(s, 0, 1)
         assert s.mate[0] == 1 and s.mate[1] == 0
         assert s.matching_size == 1
-        s.unset_match(0, 1)
+        _unmatch(s, 0, 1)
         assert s.mate[0] is None and s.mate[1] is None
         assert s.matching_size == 0
 
@@ -348,17 +371,19 @@ class TestMatching:
         s = make_state(4)
         s.add_edge(0, 1)
         s.add_edge(1, 2)
-        s.set_match(0, 1)
-        with pytest.raises(ValueError):
-            s.set_match(1, 2)
+        match(s, 0, 1)
+        match(s, 1, 2)
+        assert ("SYM", "mate(1) is 2, not 0") in details(s)
 
     def test_set_match_requires_edge(self):
         s = make_state(4)
-        with pytest.raises(ValueError):
-            s.set_match(0, 1)
+        match(s, 0, 1)
+        assert ("SYM", "matched pair is not an edge") in details(s)
 
     def test_unset_requires_matched_pair(self):
         s = make_state(4)
         s.add_edge(0, 1)
-        with pytest.raises(ValueError):
-            s.unset_match(0, 1)
+        s.add_edge(0, 2)
+        match(s, 0, 1)
+        _unmatch(s, 0, 2)
+        assert ("SYM", "mate(0) is None, not 1") in details(s)

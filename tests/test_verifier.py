@@ -29,6 +29,12 @@ def cycle_edges(k):
     return path_edges(k) + [(k - 1, 0)]
 
 
+def match(s, u, v):
+    s.mate[u] = v
+    s.mate[v] = u
+    s.matching_size += 1
+
+
 PETERSEN = [
     (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
     (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
@@ -125,7 +131,7 @@ class TestCheckInvariants:
         for u, v in path_edges(4):
             s.add_edge(u, v)
             s.own_add(u, v)
-        s.set_match(1, 2)
+        match(s, 1, 2)
         s.free_index[1].insert(0)
         s.free_index[2].insert(3)
         rep = check_invariants(s)
@@ -164,7 +170,7 @@ class TestCheckInvariants:
         s.add_edge(1, 2)
         s.own_add(0, 1)  # 0 stays level 0, 1 raised below: wrong owner side
         s.own_add(1, 2)
-        s.set_match(1, 2)
+        match(s, 1, 2)
         s.level[1] = 1
         s.level[2] = 1
         s.free_index[1].insert(0)
@@ -189,7 +195,7 @@ class TestCheckInvariants:
         s.own_add(0, 1)
         s.add_edge(1, 2)
         s.own_add(1, 2)
-        s.set_match(0, 1)
+        match(s, 0, 1)
         s.free_index[1].insert(2)
         assert check_invariants(s).ok
         return s
@@ -216,8 +222,8 @@ class TestCheckInvariants:
         for u, v in ((0, 1), (1, 2), (2, 3)):
             s.add_edge(u, v)
             s.own_add(u, v)
-        s.set_match(0, 1)
-        s.set_match(2, 3)
+        match(s, 0, 1)
+        match(s, 2, 3)
         for u in range(4):
             s.level[u] = 1
         s.level1_owned[1] = {2}
@@ -256,7 +262,7 @@ class TestCheckInvariants:
         for v in (1, 2, 3):
             s.add_edge(0, v)
             s.own_add(0, v)
-        s.set_match(0, 1)
+        match(s, 0, 1)
         s.free_index[0].insert(2)
         s.free_index[0].insert(3)
         rep = check_invariants(s)
@@ -267,7 +273,7 @@ class TestCheckInvariants:
         s = State(Config(n=2))
         s.add_edge(0, 1)
         s.own_add(0, 1)
-        s.set_match(0, 1)
+        match(s, 0, 1)
         s.level[0] = 1
         rep = check_invariants(s)
         assert "4" in rep.ids()
@@ -300,7 +306,7 @@ class TestCheckRatio:
         for u, v in path_edges(4):
             s.add_edge(u, v)
             s.own_add(u, v)
-        s.set_match(1, 2)
+        match(s, 1, 2)
         assert not check_ratio(s)
 
     def test_guard_propagates(self):
