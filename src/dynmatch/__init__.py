@@ -14,6 +14,7 @@ from .engine import (
     insert_edge,
 )
 from .metrics import EpochRecord, EpochSetRecord, EpochTracker, RunStats, classify_epoch_set, export
+from .replay import ReplayResult, replay
 from .verifier import (
     OracleLimitError,
     Violation,
@@ -48,6 +49,8 @@ __all__ = [
     "insert_edge",
     "delete_edge",
     "apply_update",
+    "replay",
+    "ReplayResult",
     "ViolationReport",
     "Violation",
     "check_invariants",

@@ -13,115 +13,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
-from dataclasses import dataclass
 
 from . import metrics as metrics_mod
 from . import workload
 from .core import Config, State
-from .engine import apply_update
-from .verifier import (
-    OracleLimitError,
-    ViolationReport,
-    check_invariants,
-    check_ratio,
-)
-
-
-@dataclass
-class ReplayResult:
-    state: State
-    stats: metrics_mod.RunStats | None
-    report: ViolationReport | None  # first failing report, if any
-    dirty_at: int | None  # update index of first violation
-    ratio_failures: int
-    ratio_skipped: int
-    ratio_checked: int
-    update_ns: int  # wall time inside apply_update, summed over the updates
-
-
-def replay_sequence(
-    seq: workload.UpdateSequence,
-    *,
-    seed: int = 0,
-    threshold: int | None = None,
-    verify_every: int | None = 1,
-    teardown: bool = False,
-    collect_metrics: bool = False,
-    ratio_check: bool = False,
-    fail_fast: bool = True,
-) -> ReplayResult:
-    """Replay ``seq`` through a fresh state.
-
-    ``verify_every``: 1 checks after every update, k after every k-th,
-    0 only at the end, None never.  With ``ratio_check`` the exact oracle
-    runs after every update on instances inside its size guard; larger
-    instances count as skipped, never as passed.
-    """
-    if teardown:
-        seq = workload.extend_with_teardown(seq)
-    state = State(Config(n=seq.n, threshold=threshold, seed=seed))
-    stats = None
-    if collect_metrics:
-        tracker = metrics_mod.EpochTracker()
-        state.observer = tracker
-        stats = metrics_mod.RunStats(
-            n=seq.n,
-            threshold=state.threshold,
-            seed=seed,
-            gen=seq.gen,
-            gen_seed=seq.seed,
-            tracker=tracker,
-        )
-    report = None
-    dirty_at = None
-    ratio_failures = ratio_skipped = ratio_checked = 0
-    update_ns = 0
-    perf = time.perf_counter_ns
-    for i, op in enumerate(seq.ops):
-        t0 = perf()
-        trace = apply_update(state, op.kind, op.u, op.v)
-        elapsed = perf() - t0
-        update_ns += elapsed
-        if stats is not None:
-            stats.record_update(
-                i, op.kind, op.u, op.v, [c[0] for c in trace], state.matching_size, elapsed
-            )
-        if verify_every and (i + 1) % verify_every == 0:
-            rep = check_invariants(state)
-            if not rep.ok:
-                report, dirty_at = rep, i
-                if fail_fast:
-                    break
-        if ratio_check:
-            try:
-                ok = check_ratio(state)
-                ratio_checked += 1
-                if not ok:
-                    ratio_failures += 1
-                    if dirty_at is None:
-                        dirty_at = i
-                    if fail_fast:
-                        break
-            except OracleLimitError:
-                ratio_skipped += 1
-    if report is None and verify_every == 0:
-        rep = check_invariants(state)
-        if not rep.ok:
-            report, dirty_at = rep, len(seq.ops) - 1
-    if stats is not None:
-        stats.final_edge_count = state.edge_count
-        stats.final_matching_size = state.matching_size
-    return ReplayResult(
-        state=state,
-        stats=stats,
-        report=report,
-        dirty_at=dirty_at,
-        ratio_failures=ratio_failures,
-        ratio_skipped=ratio_skipped,
-        ratio_checked=ratio_checked,
-        update_ns=update_ns,
-    )
+from .replay import replay
 
 
 def _cmd_gen(args) -> int:
@@ -155,25 +51,37 @@ def _run_or_verify(args, *, oracle: bool) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    verify_every = 1 if oracle else args.verify_every
-    result = replay_sequence(
-        seq,
-        seed=args.seed,
-        threshold=args.threshold,
-        verify_every=verify_every,
-        teardown=args.teardown,
-        collect_metrics=args.metrics is not None,
-        ratio_check=oracle,
+    if args.teardown:
+        seq = workload.extend_with_teardown(seq)
+    state = State(Config(n=seq.n, threshold=args.threshold, seed=args.seed))
+    stats = on_update = None
+    if args.metrics is not None:
+        tracker = metrics_mod.EpochTracker()
+        state.observer = tracker
+        stats = metrics_mod.RunStats(
+            n=seq.n,
+            threshold=state.threshold,
+            seed=args.seed,
+            gen=seq.gen,
+            gen_seed=seq.seed,
+            tracker=tracker,
+        )
+        on_update = stats.recorder(state)
+    result = replay(
+        state,
+        seq.ops,
+        verify_every=1 if oracle else args.verify_every,
+        oracle=oracle,
+        on_update=on_update,
     )
-    if args.metrics is not None and result.stats is not None:
-        text = metrics_mod.export(result.stats, args.format)
+    if stats is not None:
+        text = metrics_mod.export(stats, args.format)
         if args.metrics == "-":
             sys.stdout.write(text)
         else:
             with open(args.metrics, "w", encoding="utf-8") as fh:
                 fh.write(text)
-            sys.stdout.write(result.stats.summary_table())
-    state = result.state
+            sys.stdout.write(stats.summary_table())
     print(
         f"replayed {state.update_index + 1} ops: "
         f"|M|={state.matching_size} edges={state.edge_count}",
@@ -182,14 +90,14 @@ def _run_or_verify(args, *, oracle: bool) -> int:
     if oracle:
         print(
             f"ratio checks: {result.ratio_checked} run, "
-            f"{result.ratio_failures} failed, {result.ratio_skipped} skipped (oracle guard)",
+            f"{result.ratio_failed} failed, {result.ratio_skipped} skipped (oracle guard)",
             file=sys.stderr,
         )
-    if result.report is not None or result.ratio_failures:
+    if result.dirty_at is not None:
         print(f"dirty state after update {result.dirty_at}:", file=sys.stderr)
         if result.report is not None:
             sys.stderr.write(result.report.to_text())
-        if result.ratio_failures:
+        if result.ratio_failed:
             print("approximation ratio violated", file=sys.stderr)
         return 1
     return 0
@@ -200,10 +108,8 @@ def _cmd_bench(args) -> int:
     for n in args.n_list:
         t = args.updates_per_n * n
         seq = workload.gen_random(n, t, args.p_insert, args.seed)
-        result = replay_sequence(
-            seq, seed=args.seed + 1, threshold=args.threshold, verify_every=None
-        )
-        total = result.update_ns / 1e9
+        state = State(Config(n=n, threshold=args.threshold, seed=args.seed + 1))
+        total = replay(state, seq.ops).update_ns / 1e9
         rows.append((n, t, total, 1e6 * total / t))
         print(
             f"bench n={n} t={t} total={total:.2f}s amortized={1e6 * total / t:.2f}us",
@@ -257,7 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threshold", type=int, default=None)
         if not oracle:
             p.add_argument("--verify-every", type=_int_at_least(0), default=1,
-                           help="0 verifies only at the end")
+                           help="verify after every k-th update; 0 only at the end. "
+                                "The final state is always verified")
         p.add_argument("--teardown", action="store_true",
                        help="append deletes of all remaining edges")
         p.add_argument("--metrics", default=None, help="write run metrics to this path")

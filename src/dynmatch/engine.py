@@ -83,13 +83,10 @@ def check_3_aug_path(state: State, u: int, v: int) -> int | None:
     """Free endpoint of a length-3 augmenting path u-v-mate(v)-z, if any.
 
     Temporarily hides u from mate(v)'s free-neighbor index so the probe
-    cannot answer with u itself, then restores it.  Never modifies the
-    matching; O(1).
+    cannot answer with u itself, then restores it.  ``v`` must be matched.
+    Never modifies the matching; O(1).
     """
-    y = state.mate[v]
-    if y is None:
-        raise ValueError(f"check_3_aug_path: {v} is unmatched")
-    fy = state.free_index[y]
+    fy = state.free_index[state.mate[v]]
     if u in fy:
         fy.delete(u)
         z = fy.get_free()

@@ -210,6 +210,19 @@ class RunStats:
         if len(trace_names) > self.max_trace_len:
             self.max_trace_len = len(trace_names)
 
+    def recorder(self, state):
+        """An ``on_update`` callback for :func:`dynmatch.replay.replay` that
+        records each update of ``state`` and keeps the final counts current."""
+
+        def on_update(i, op, calls, elapsed_ns):
+            self.record_update(
+                i, op.kind, op.u, op.v, [c[0] for c in calls], state.matching_size, elapsed_ns
+            )
+            self.final_edge_count = state.edge_count
+            self.final_matching_size = state.matching_size
+
+        return on_update
+
     def totals(self) -> dict:
         inserts = sum(1 for r in self.rows if r["op"] == "+")
         return {

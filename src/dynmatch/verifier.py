@@ -234,12 +234,6 @@ def brute_force_mcm(adj: list[set[int]]) -> int:
     return best((1 << len(verts)) - 1)
 
 
-def oracle_fits(adj: list[set[int]]) -> bool:
-    verts = sum(1 for nbrs in adj if nbrs)
-    m = sum(len(nbrs) for nbrs in adj) // 2
-    return verts <= ORACLE_MAX_VERTICES or m <= ORACLE_MAX_EDGES
-
-
 def check_ratio(state: State) -> bool:
     """True iff the maintained matching is a 3/2-approximation.
 

@@ -6,105 +6,56 @@ to watch the per-criterion lines as they complete.
 """
 
 import time
-from collections import Counter
-from dataclasses import dataclass, field
 
 import pytest
 
 from dynmatch import (
     Config,
     EpochTracker,
+    RunStats,
     State,
-    brute_force_mcm,
-    check_invariants,
     extend_with_teardown,
     gen_random,
+    replay,
 )
-from dynmatch.engine import PROCEDURE_NAMES, apply_update
+from dynmatch.engine import PROCEDURE_NAMES
 
 
-@dataclass
-class Aggregate:
-    updates: int = 0
-    violations: int = 0
-    first_failure: str | None = None
-    max_trace: int = 0
-    procedures: Counter = field(default_factory=Counter)
-    elapsed: float = 0.0
-
-
-def _replay_checked(seq, *, seed, threshold=None, verify_every=1, agg=None):
-    """Replay with per-update verification, accumulating into ``agg``."""
-    agg = agg if agg is not None else Aggregate()
-    state = State(Config(n=seq.n, threshold=threshold, seed=seed))
+def _verified_runs(count, n, t, gen_seed, engine_seed, *, threshold=None, oracle=False):
+    """``count`` verified replays of random sequences, keyed by engine seed,
+    and the wall time they took.  Each replay stops at its first violation."""
     t0 = time.perf_counter()
-    for i, op in enumerate(seq.ops):
-        calls = apply_update(state, op.kind, op.u, op.v)
-        if len(calls) > agg.max_trace:
-            agg.max_trace = len(calls)
-        for entry in calls:
-            agg.procedures[entry[0]] += 1
-        if verify_every and (i + 1) % verify_every == 0:
-            rep = check_invariants(state)
-            if not rep.ok:
-                agg.violations += 1
-                if agg.first_failure is None:
-                    agg.first_failure = (
-                        f"seed={seed} update={i} op={op}\n{rep.to_text()}"
-                    )
-    agg.updates += len(seq.ops)
-    agg.elapsed += time.perf_counter() - t0
-    return agg, state
+    runs = {}
+    for s in range(count):
+        state = State(Config(n=n, threshold=threshold, seed=engine_seed + s))
+        seq = gen_random(n, t, 0.6, seed=gen_seed + s)
+        runs[engine_seed + s] = replay(state, seq.ops, verify_every=1, oracle=oracle)
+    return runs, time.perf_counter() - t0
+
+
+def _dirty(runs):
+    """One line per replay that stopped at a violation."""
+    return [
+        f"seed={seed} update={r.dirty_at}\n"
+        + (r.report.to_text() if r.report is not None else "ratio violated")
+        for seed, r in runs.items()
+        if r.dirty_at is not None
+    ]
 
 
 @pytest.fixture(scope="module")
 def crit1(request):
-    agg = Aggregate()
-    for s in range(100):
-        seq = gen_random(64, 5000, 0.6, seed=s)
-        _replay_checked(seq, seed=10_000 + s, verify_every=1, agg=agg)
-    return agg
+    return _verified_runs(100, 64, 5000, 0, 10_000)
 
 
 @pytest.fixture(scope="module")
 def crit2(request):
-    agg = Aggregate()
-    for s in range(200):
-        seq = gen_random(16, 2000, 0.6, seed=500 + s)
-        _replay_checked(seq, seed=20_000 + s, threshold=2, verify_every=1, agg=agg)
-    return agg
+    return _verified_runs(200, 16, 2000, 500, 20_000, threshold=2)
 
 
 @pytest.fixture(scope="module")
 def crit3(request):
-    agg = Aggregate()
-    ratio_failures = 0
-    t0 = time.perf_counter()
-    for s in range(500):
-        seq = gen_random(12, 120, 0.6, seed=3000 + s)
-        state = State(Config(n=12, seed=30_000 + s))
-        for i, op in enumerate(seq.ops):
-            trace = apply_update(state, op.kind, op.u, op.v)
-            if len(trace) > agg.max_trace:
-                agg.max_trace = len(trace)
-            for entry in trace:
-                agg.procedures[entry[0]] += 1
-            rep = check_invariants(state)
-            if not rep.ok:
-                agg.violations += 1
-                if agg.first_failure is None:
-                    agg.first_failure = f"seed {s} update {i}: {rep.to_text()}"
-            optimum = brute_force_mcm(state.adj)
-            size = state.matching_size
-            if 2 * optimum > 3 * size or size < -(-2 * optimum // 3):
-                ratio_failures += 1
-                if agg.first_failure is None:
-                    agg.first_failure = (
-                        f"seed {s} update {i}: optimum={optimum} |M|={size}"
-                    )
-            agg.updates += 1
-    agg.elapsed = time.perf_counter() - t0
-    return agg, ratio_failures
+    return _verified_runs(500, 12, 120, 3000, 30_000, oracle=True)
 
 
 @pytest.fixture(scope="module")
@@ -122,8 +73,7 @@ def crit56(request):
         state = State(Config(n=64, seed=10_000 + s))
         tracker = EpochTracker()
         state.observer = tracker
-        for op in ext.ops:
-            apply_update(state, op.kind, op.u, op.v)
+        replay(state, ext.ops)
         empty = (
             state.edge_count == 0
             and state.matching_size == 0
@@ -139,40 +89,53 @@ def crit56(request):
 
 
 def test_criterion_1_invariants(crit1):
-    ok = crit1.violations == 0
+    runs, elapsed = crit1
+    dirty = _dirty(runs)
+    updates = sum(r.updates for r in runs.values())
+    ok = not dirty
     print(
         f"\nACCEPTANCE 1 invariant suite: {'PASS' if ok else 'FAIL'} "
-        f"({crit1.updates} verified updates, {crit1.violations} violations, "
-        f"{crit1.elapsed:.0f}s)"
+        f"({updates} verified updates, {len(dirty)} violations, "
+        f"{elapsed:.0f}s)"
     )
-    assert ok, crit1.first_failure
+    assert ok, dirty[0]
 
 
 def test_criterion_2_small_threshold(crit2):
-    missing = set(PROCEDURE_NAMES) - set(crit2.procedures)
-    ok = crit2.violations == 0 and not missing
+    runs, elapsed = crit2
+    dirty = _dirty(runs)
+    updates = sum(r.updates for r in runs.values())
+    missing = set(PROCEDURE_NAMES).difference(*(r.procedures for r in runs.values()))
+    ok = not dirty and not missing
     print(
         f"\nACCEPTANCE 2 small-threshold stress: {'PASS' if ok else 'FAIL'} "
-        f"({crit2.updates} verified updates, {crit2.violations} violations, "
-        f"procedures missing: {sorted(missing) or 'none'}, {crit2.elapsed:.0f}s)"
+        f"({updates} verified updates, {len(dirty)} violations, "
+        f"procedures missing: {sorted(missing) or 'none'}, {elapsed:.0f}s)"
     )
-    assert crit2.violations == 0, crit2.first_failure
+    assert not dirty, dirty[0]
     assert not missing, f"never exercised: {missing}"
 
 
 def test_criterion_3_approximation_ratio(crit3):
-    agg, ratio_failures = crit3
-    ok = ratio_failures == 0 and agg.violations == 0
+    runs, elapsed = crit3
+    dirty = _dirty(runs)
+    updates = sum(r.updates for r in runs.values())
+    checked = sum(r.ratio_checked for r in runs.values())
+    failed = sum(r.ratio_failed for r in runs.values())
+    skipped = sum(r.ratio_skipped for r in runs.values())
+    violations = sum(r.report is not None for r in runs.values())
+    ok = not dirty and checked == updates and skipped == 0
     print(
         f"\nACCEPTANCE 3 approximation ratio: {'PASS' if ok else 'FAIL'} "
-        f"({agg.updates} oracle comparisons, {ratio_failures} ratio failures, "
-        f"{agg.violations} invariant violations, {agg.elapsed:.0f}s)"
+        f"({checked} oracle comparisons, {failed} ratio failures, "
+        f"{violations} invariant violations, {elapsed:.0f}s)"
     )
-    assert ok, agg.first_failure
+    assert not dirty, dirty[0]
+    assert checked == updates and skipped == 0, f"{skipped} of {updates} skipped"
 
 
 def test_criterion_4_procedure_call_bound(crit1, crit2, crit3):
-    worst = max(crit1.max_trace, crit2.max_trace, crit3[0].max_trace)
+    worst = max(r.max_trace for c in (crit1, crit2, crit3) for r in c[0].values())
     ok = worst <= 30
     print(
         f"\nACCEPTANCE 4 procedure-call bound: {'PASS' if ok else 'FAIL'} "
@@ -221,11 +184,7 @@ def test_criterion_7_scaling_informational():
         t = 10 * n
         seq = gen_random(n, t, 0.6, seed=7)
         state = State(Config(n=n, seed=77))
-        t0 = time.perf_counter()
-        for op in seq.ops:
-            apply_update(state, op.kind, op.u, op.v)
-        amortized = (time.perf_counter() - t0) / t
-        cells.append((n, amortized))
+        cells.append((n, replay(state, seq.ops).update_ns / 1e9 / t))
     factors = [b / a for (_, a), (_, b) in zip(cells, cells[1:])]
     within = all(f <= 3.0 for f in factors)
     detail = ", ".join(f"n={n}: {1e6 * a:.1f}us" for n, a in cells)
@@ -239,29 +198,26 @@ def test_criterion_7_scaling_informational():
 
 def test_criterion_8_determinism():
     seq = gen_random(64, 5000, 0.6, seed=0)
-    fingerprints = []
+    trajectories = []
     docs = []
     for _ in range(2):
         state = State(Config(n=64, seed=10_000))
         tracker = EpochTracker()
         state.observer = tracker
-        from dynmatch.metrics import RunStats
-
         stats = RunStats(n=64, threshold=state.threshold, seed=10_000, tracker=tracker)
-        fp = 0
-        for i, op in enumerate(seq.ops):
-            trace = apply_update(state, op.kind, op.u, op.v)
-            stats.record_update(
-                i, op.kind, op.u, op.v, [c[0] for c in trace], state.matching_size, 0
-            )
-            fp = hash((fp, tuple(state.mate)))
-        stats.final_edge_count = state.edge_count
-        stats.final_matching_size = state.matching_size
+        record = stats.recorder(state)
+        mates = []
+
+        def on_update(i, op, calls, elapsed_ns):
+            record(i, op, calls, elapsed_ns)
+            mates.append(hash(tuple(state.mate)))
+
+        replay(state, seq.ops, on_update=on_update)
         doc = stats.to_dict()
         del doc["timing"]
-        fingerprints.append(fp)
+        trajectories.append(mates)
         docs.append(doc)
-    ok = fingerprints[0] == fingerprints[1] and docs[0] == docs[1]
+    ok = trajectories[0] == trajectories[1] and docs[0] == docs[1]
     print(f"\nACCEPTANCE 8 determinism: {'PASS' if ok else 'FAIL'} "
           f"(identical matching trajectory and metrics across replays)")
     assert ok

@@ -1,7 +1,12 @@
+import importlib
 import json
 
 from dynmatch import gen_named, parse, serialize
-from dynmatch.cli import main, replay_sequence
+from dynmatch.cli import main
+from dynmatch.verifier import Violation, ViolationReport
+
+replay_mod = importlib.import_module("dynmatch.replay")  # the package's `replay` is the function
+DIRTY = ViolationReport([Violation("1a", (0,), "forced for test")])
 
 
 def write_zipper(tmp_path, n=4):
@@ -115,29 +120,37 @@ class TestBench:
 
 
 class TestViolationExitCode:
+    # the engine never produces a dirty state, so force one to pin the
+    # fail-fast reporting path and exit code
     def test_dirty_state_is_exit_1(self, tmp_path, capsys, monkeypatch):
-        # the engine never produces a dirty state, so force one to pin the
-        # fail-fast reporting path and exit code
-        import dynmatch.cli as cli_mod
-        from dynmatch.verifier import Violation, ViolationReport
-
         path = write_zipper(tmp_path)
-        dirty = ViolationReport([Violation("1a", (0,), "forced for test")])
-        monkeypatch.setattr(cli_mod, "check_invariants", lambda s: dirty)
+        monkeypatch.setattr(replay_mod, "check_invariants", lambda s: DIRTY)
         rc = main(["run", "--input", str(path)])
         captured = capsys.readouterr()
         assert rc == 1
         assert "dirty state after update 0" in captured.err
         assert "1a" in captured.err
 
+    def test_final_state_verified_off_the_stride(self, tmp_path, capsys, monkeypatch):
+        # 3 updates with a stride of 5: only the final check can see it
+        path = write_zipper(tmp_path)
+        monkeypatch.setattr(replay_mod, "check_invariants", lambda s: DIRTY)
+        rc = main(["run", "--input", str(path), "--verify-every", "5"])
+        assert rc == 1
+        assert "dirty state after update 2" in capsys.readouterr().err
+
 
 class TestReplayDeterminism:
     def test_same_inputs_same_trajectory_and_metrics(self, tmp_path):
-        seq = gen_named("clique-build-teardown", 8, 0)
+        path = tmp_path / "clique.seq"
+        path.write_text(serialize(gen_named("clique-build-teardown", 8, 0)))
         docs = []
-        for _ in range(2):
-            result = replay_sequence(seq, seed=9, verify_every=0, collect_metrics=True)
-            doc = result.stats.to_dict()
+        for k in range(2):
+            metrics = tmp_path / f"m{k}.json"
+            rc = main(["run", "--input", str(path), "--seed", "9", "--verify-every", "0",
+                       "--metrics", str(metrics)])
+            assert rc == 0
+            doc = json.loads(metrics.read_text())
             del doc["timing"]
             docs.append(doc)
         assert docs[0] == docs[1]

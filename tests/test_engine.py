@@ -22,6 +22,7 @@ from dynmatch import (
     find_3_aug_path,
     gen_named,
     gen_random,
+    replay,
 )
 from dynmatch.core import EMPTY_ADJ
 from dynmatch.engine import (
@@ -96,9 +97,11 @@ class TestMacros:
         assert check_3_aug_path(s, 2, 0) is None
 
     def test_check_3_aug_path_unmatched_raises(self):
+        # the probe trusts its caller: an unmatched v fails on the index
+        # lookup with the native error
         s = make_state(2)
         add_owned(s, 0, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             check_3_aug_path(s, 0, 1)
 
     def test_transfer_from_moves_only_level1(self):
@@ -580,10 +583,10 @@ def fingerprint(s):
 def test_rejected_update_leaves_state_unchanged(seed):
     n = 8
     s = State(Config(n=n, threshold=2, seed=seed))
-    for i, op in enumerate(gen_random(n, 60, 0.6, seed=seed).ops):
-        apply_update(s, op.kind, op.u, op.v)
+
+    def probe_rejections(i, op, calls, elapsed_ns):
         if i % 10:
-            continue
+            return
         present = next((u, v) for u in range(n) for v in s.adj[u])
         absent = next(
             (u, v) for u in range(n) for v in range(u + 1, n) if v not in s.adj[u]
@@ -608,6 +611,8 @@ def test_rejected_update_leaves_state_unchanged(seed):
             assert fingerprint(s) == before, (kind, u, v)
             rep = check_invariants(s)
             assert rep.ok, rep.to_text()
+
+    replay(s, gen_random(n, 60, 0.6, seed=seed).ops, on_update=probe_rejections)
 
 
 class UpdateMachine(RuleBasedStateMachine):
@@ -716,17 +721,18 @@ def test_named_pattern_replays_clean(pattern, threshold):
     bound, and a second replay yields the same traces."""
     seq = gen_named(pattern, 64, 0)
     runs = []
-    for replay in range(2):
+    for verify_every in (1, None):
         s = State(Config(n=seq.n, threshold=threshold, seed=9))
         traces = []
-        for op in seq.ops:
-            trace = apply_update(s, op.kind, op.u, op.v)
-            assert len(trace) <= 30
-            traces.append(trace)
-            if replay == 0:
-                rep = check_invariants(s)
-                assert rep.ok, f"{op}: {rep.to_text()}"
+
+        def on_update(i, op, calls, elapsed_ns):
+            traces.append(calls)
+            if verify_every:
                 assert_level1_targets_covered(s)
+
+        result = replay(s, seq.ops, verify_every=verify_every, on_update=on_update)
+        assert result.report is None, f"update {result.dirty_at}: {result.report.to_text()}"
+        assert result.max_trace <= 30
         runs.append(traces)
     assert runs[0] == runs[1]
 
@@ -737,9 +743,7 @@ def test_random_settle_records_its_raised_picker():
     record this replay misses a target at update 30, ``+ 2 4``."""
     seq = gen_named("clique-build-teardown", 16, 11)
     s = State(Config(n=seq.n, seed=11))
-    for op in seq.ops:
-        apply_update(s, op.kind, op.u, op.v)
-        assert_level1_targets_covered(s)
+    replay(s, seq.ops, on_update=lambda *_: assert_level1_targets_covered(s))
 
 
 # sha256 over repr((trace, matching_size, mate)) after every update.  These
@@ -779,9 +783,11 @@ def _replay_digest(key):
         seq = gen_named(gen, n, seed)
     s = State(Config(n=seq.n, threshold=threshold, seed=seed))
     h = hashlib.sha256()
-    for op in seq.ops:
-        trace = apply_update(s, op.kind, op.u, op.v)
-        h.update(repr((trace, s.matching_size, s.mate)).encode())
+
+    def on_update(i, op, calls, elapsed_ns):
+        h.update(repr((calls, s.matching_size, s.mate)).encode())
+
+    replay(s, seq.ops, on_update=on_update)
     return h.hexdigest()
 
 

@@ -14,8 +14,8 @@ from dynmatch import (
     classify_epoch_set,
     export,
     gen_random,
+    replay,
 )
-from dynmatch.cli import replay_sequence
 from dynmatch.engine import apply_update, delete_edge, insert_edge
 
 
@@ -67,10 +67,10 @@ class TestEpochEvents:
 
     def test_conservation_open_minus_closed_is_matching_size(self):
         s, tr = tracked_state(12, seed=3)
-        seq = gen_random(12, 300, 0.6, 5)
-        for op in seq.ops:
-            apply_update(s, op.kind, op.u, op.v)
-            assert tr.live_count == s.matching_size
+        live = []
+        replay(s, gen_random(12, 300, 0.6, 5).ops,
+               on_update=lambda *_: live.append(tr.live_count - s.matching_size))
+        assert live == [0] * 300
 
     def test_expensive_deterministic_epochs_follow_a_random_one(self):
         # deterministic-raise and the deterministic path-fix variant only
@@ -151,9 +151,10 @@ class TestEpochSets:
 
 class TestExport:
     def run_stats(self, t=40):
-        seq = gen_random(8, t, 0.6, 3)
-        result = replay_sequence(seq, seed=5, verify_every=0, collect_metrics=True)
-        return result.stats
+        s, tr = tracked_state(8, seed=5)
+        stats = RunStats(n=8, threshold=s.threshold, seed=5, tracker=tr)
+        replay(s, gen_random(8, t, 0.6, 3).ops, verify_every=0, on_update=stats.recorder(s))
+        return stats
 
     def test_empty_run_valid(self):
         stats = RunStats(n=4, threshold=2, seed=0, tracker=EpochTracker())

@@ -291,14 +291,11 @@ class TestCheckRatio:
         assert check_ratio(State(Config(n=3)))
 
     def test_engine_states_always_pass(self):
-        from dynmatch import gen_random
-        from dynmatch.engine import apply_update
+        from dynmatch import gen_random, replay
 
         seq = gen_random(10, 150, 0.6, 3)
-        s = State(Config(n=10, seed=4))
-        for op in seq.ops:
-            apply_update(s, op.kind, op.u, op.v)
-            assert check_ratio(s)
+        result = replay(State(Config(n=10, seed=4)), seq.ops, oracle=True)
+        assert result.ratio_checked == 150 and result.ratio_failed == 0
 
     def test_half_matching_fails(self):
         # 4-path with only the middle edge matched: optimum 2, 2*2 > 3*1.

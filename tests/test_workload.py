@@ -77,15 +77,11 @@ class TestGenNamed:
         # holds for every cutoff from 2 up to the hub degree n-1
         # (at threshold 1 the randomized raise is structurally unreachable:
         # every matched vertex is already at level 1)
-        from dynmatch import Config, State
-        from dynmatch.engine import apply_update
+        from dynmatch import Config, State, replay
 
         seq = gen_named("star-churn", 6, 0)
         state = State(Config(n=6, threshold=threshold, seed=1))
-        seen = set()
-        for op in seq.ops:
-            seen.update(c[0] for c in apply_update(state, op.kind, op.u, op.v))
-        assert "randomised_raise_level_to_1" in seen
+        assert "randomised_raise_level_to_1" in replay(state, seq.ops).procedures
 
     def test_unknown_pattern(self):
         with pytest.raises(ValueError):
