@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate a workload file")
     p_gen.add_argument("--pattern", default="random",
                        choices=("random",) + workload.PATTERNS)
-    p_gen.add_argument("--n", type=int, required=True)
+    p_gen.add_argument("--n", type=_int_at_least(1), required=True)
     p_gen.add_argument("--t", type=int, default=None,
                        help="number of ops (random pattern only)")
     p_gen.add_argument("--p-insert", type=float, default=0.6)

@@ -15,6 +15,12 @@ argument called ``flag`` selects the deterministic variant (1) once a
 randomized settle has already run in the current update, keeping the number
 of procedure calls per update bounded by a constant.
 
+A procedure that displaces a vertex settles it before returning.  The
+vertex is settled by its level (:func:`handle_delete_level1` at level 1,
+:func:`naive_settle_augmented` at level 0) through ``_settle``, the one
+place that dispatches on it, so no caller re-settles what a callee left
+free.
+
 Inline macros (ownership transfers, free-list maintenance, the augmenting
 path probe) are plain loops and are not recorded in the per-update trace;
 the eight named procedures are.
@@ -178,6 +184,18 @@ def delete_from_f_list(state: State, u: int) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _settle(state: State, x: int, flag: int) -> None:
+    """Settle a vertex left free by a repair, according to its level.
+
+    Not traced itself: the procedure it dispatches to is, and both are
+    looked up as module globals at call time.
+    """
+    if state.level[x] == 1:
+        handle_delete_level1(state, x, flag)
+    else:
+        naive_settle_augmented(state, x, flag)
+
+
 def naive_settle_augmented(state: State, u: int, flag: int) -> None:
     """Settle a free level-0 vertex u by direct search.
 
@@ -195,23 +213,13 @@ def naive_settle_augmented(state: State, u: int, flag: int) -> None:
     w = state.free_index[u].get_free()
     if w is not None:
         _match(state, u, w, "naive_settle_augmented")
-        if len(adj[u]) >= threshold:
-            if flag:
-                deterministic_raise_level_to_1(state, u)
-                delete_from_f_list(state, u)
-                delete_from_f_list(state, w)
-            else:
-                randomised_raise_level_to_1(state, u)
-        elif len(adj[w]) >= threshold:
-            if flag:
-                deterministic_raise_level_to_1(state, w)
-                delete_from_f_list(state, u)
-                delete_from_f_list(state, w)
-            else:
-                randomised_raise_level_to_1(state, w)
-                if mate[u] is None:
-                    naive_settle_augmented(state, u, 1)
+        p = u if len(adj[u]) >= threshold else w
+        over = len(adj[p]) >= threshold
+        if over and not flag:
+            randomised_raise_level_to_1(state, p)
         else:
+            if over:
+                deterministic_raise_level_to_1(state, p)
             delete_from_f_list(state, u)
             delete_from_f_list(state, w)
     else:
@@ -229,12 +237,13 @@ def naive_settle_augmented(state: State, u: int, flag: int) -> None:
             insert_to_f_list(state, u)
 
 
-def random_settle_augmented(state: State, u: int) -> int | None:
+def random_settle_augmented(state: State, u: int) -> None:
     """Match a free level-0 vertex u to a uniform pick from its owned edges.
 
-    Raises the new pair to level 1.  Returns the displaced previous mate of
-    the pick (to be re-settled by the caller), or None.  Ends by probing
-    for a fresh length-3 augmenting path through u and fixing it.
+    Raises the new pair to level 1 and probes for a fresh length-3
+    augmenting path through u, fixing it.  A procedure that displaces a
+    vertex settles it before returning: the pick's previous mate, if
+    any, is settled here by its level, deterministically.
     """
     state.trace.append(("random_settle_augmented", u))
     obs = state.observer
@@ -275,7 +284,8 @@ def random_settle_augmented(state: State, u: int) -> int | None:
             fu.insert(w)
             if x2 is not None:
                 fix_3_aug_path_d(state, x2, u, y, w)
-    return x
+    if x is not None:
+        _settle(state, x, 1)
 
 
 def deterministic_raise_level_to_1(state: State, u: int) -> None:
@@ -311,24 +321,19 @@ def randomised_raise_level_to_1(state: State, u: int) -> None:
     """Raise an over-degree matched level-0 vertex u via a random re-match.
 
     Dissolves u's current match, takes ownership of all incident edges and
-    re-settles u randomly at level 1.  The displaced vertices (the random
-    pick's previous mate and u's own previous mate) are settled before
-    returning; a previous mate left free at level 1 is the caller's case
-    to handle.
+    re-settles u randomly at level 1.  A procedure that displaces a vertex
+    settles it before returning: the random settle settles the pick's
+    previous mate, and u's own previous mate, if still free, is settled
+    here by its level.
     """
     state.trace.append(("randomised_raise_level_to_1", u))
     mate = state.mate
     v = mate[u]
     _unmatch(state, u, v)
     take_ownership(state, u)
-    x = random_settle_augmented(state, u)
-    if x is not None:
-        if state.level[x] == 1:
-            handle_delete_level1(state, x, 1)
-        else:
-            naive_settle_augmented(state, x, 1)
-    if mate[v] is None and state.level[v] == 0:
-        naive_settle_augmented(state, v, 1)
+    random_settle_augmented(state, u)
+    if mate[v] is None:
+        _settle(state, v, 1)
 
 
 def fix_3_aug_path_d(state: State, u: int, v: int, y: int, z: int) -> None:
@@ -375,32 +380,20 @@ def fix_3_aug_path(state: State, u: int, v: int, y: int, z: int) -> None:
     delete_from_f_list(state, u)
     delete_from_f_list(state, z)
     if level[v] == 1:
-        if len(adj[u]) >= threshold:
-            transfer_ownership_to(state, z)
-            level[z] = 1
-            randomised_raise_level_to_1(state, u)
-            if mate[v] is None and level[v] == 1:
-                handle_delete_level1(state, v, 1)
-        elif len(adj[z]) >= threshold:
-            transfer_ownership_to(state, u)
-            level[u] = 1
-            randomised_raise_level_to_1(state, z)
-            if mate[y] is None and level[y] == 1:
-                handle_delete_level1(state, y, 1)
+        # q is the endpoint over the cutoff, if either is; p rises in place
+        p, q = (z, u) if len(adj[u]) >= threshold else (u, z)
+        transfer_ownership_to(state, p)
+        level[p] = 1
+        if len(adj[q]) >= threshold:
+            randomised_raise_level_to_1(state, q)
         else:
-            for p in (u, z):
-                transfer_ownership_to(state, p)
-            level[u] = 1
-            level[z] = 1
+            transfer_ownership_to(state, q)
+            level[q] = 1
     else:
         if len(adj[u]) >= threshold:
             randomised_raise_level_to_1(state, u)
-            if mate[v] is None and level[v] == 0:
-                naive_settle_augmented(state, v, 1)
         if len(adj[z]) >= threshold and mate[z] is not None and level[z] == 0:
             randomised_raise_level_to_1(state, z)
-            if mate[y] is None and level[y] == 0:
-                naive_settle_augmented(state, y, 1)
 
 
 def handle_delete_level1(state: State, u: int, flag: int) -> None:
@@ -416,12 +409,7 @@ def handle_delete_level1(state: State, u: int, flag: int) -> None:
     state.level[u] = 0
     if len(state.owners[u]) >= state.threshold:
         state.level1_owned[u] = set()
-        x = random_settle_augmented(state, u)
-        if x is not None:
-            if state.level[x] == 1:
-                handle_delete_level1(state, x, 1)
-            else:
-                naive_settle_augmented(state, x, 1)
+        random_settle_augmented(state, u)
     else:
         naive_settle_augmented(state, u, flag)
 
@@ -456,12 +444,7 @@ def handle_insert_level0(state: State, u: int, v: int) -> None:
         old_mate = mate[u]
         if old_mate is not None:
             _unmatch(state, u, old_mate)
-        x = random_settle_augmented(state, u)
-        if x is not None:
-            if level[x] == 1:
-                handle_delete_level1(state, x, 1)
-            else:
-                naive_settle_augmented(state, x, 1)
+        random_settle_augmented(state, u)
         if old_mate is not None and mate[old_mate] is None and level[old_mate] == 0:
             naive_settle_augmented(state, old_mate, 1)
         if not both_free:
@@ -527,15 +510,10 @@ def insert_edge(state: State, u: int, v: int) -> list[tuple]:
         owner, other = (u, v) if u < v else (v, u)
         state.own_add(owner, other)
         _note_level1(state, owner, other)
-    elif lu == 1:
-        state.own_add(u, v)
-        if mate[v] is None:
-            z = check_3_aug_path(state, v, u)
-            if z is not None:
-                fix_3_aug_path(state, v, u, mate[u], z)
-        elif len(state.adj[v]) >= state.threshold:
-            randomised_raise_level_to_1(state, v)
-    elif lv == 1:
+    elif lu == 1 or lv == 1:
+        if lu == 1:
+            u, v = v, u
+        # v is the level-1 endpoint and owns the edge
         state.own_add(v, u)
         if mate[u] is None:
             z = check_3_aug_path(state, u, v)
@@ -576,7 +554,6 @@ def delete_edge(state: State, u: int, v: int) -> list[tuple]:
     state.free_index[v].delete(u)
     mate = state.mate
     was_matched = mate[u] == v
-    pair_level = max(state.level[u], state.level[v])
     if was_matched:
         _unmatch(state, u, v)
     # Fired after the unset: an epoch's own edge deletion is not one of the
@@ -584,15 +561,9 @@ def delete_edge(state: State, u: int, v: int) -> list[tuple]:
     if obs is not None:
         obs.on_edge_deleted(state.update_index, (u, v) if u < v else (v, u))
     if was_matched:
-        if pair_level == 0:
-            naive_settle_augmented(state, u, 0)
-        else:
-            handle_delete_level1(state, u, 0)
+        _settle(state, u, 0)
         if mate[v] is None:
-            if state.level[v] == 1:
-                handle_delete_level1(state, v, 0)
-            else:
-                naive_settle_augmented(state, v, 0)
+            _settle(state, v, 0)
     if obs is not None:
         obs.on_update_end(state.update_index, state.matching_size)
     return trace

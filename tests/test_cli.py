@@ -1,9 +1,12 @@
 import importlib
 import json
 
+import pytest
+
 from dynmatch import gen_named, parse, serialize
 from dynmatch.cli import main
 from dynmatch.verifier import Violation, ViolationReport
+from dynmatch.workload import PATTERNS
 
 replay_mod = importlib.import_module("dynmatch.replay")  # the package's `replay` is the function
 DIRTY = ViolationReport([Violation("1a", (0,), "forced for test")])
@@ -34,6 +37,15 @@ class TestGen:
         rc = main(["gen", "--pattern", "random", "--n", "8",
                    "--out", str(tmp_path / "x.seq")])
         assert rc == 2
+
+    @pytest.mark.parametrize("pattern", ("random",) + PATTERNS)
+    def test_zero_vertices_is_exit_2(self, tmp_path, capsys, pattern):
+        out = tmp_path / "x.seq"
+        rc = main(["gen", "--pattern", pattern, "--n", "0", "--t", "0",
+                   "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert "--n: must be >= 1, got 0" in capsys.readouterr().err
 
 
 class TestRun:

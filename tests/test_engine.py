@@ -232,12 +232,16 @@ class TestRandomSettle:
         assert check_invariants(s).ok
 
     def test_forced_choice_displaces_mate(self):
+        # the pick 1 leaves its mate 2 free; the settle settles 2 itself
         s = make_state(3, threshold=1, seed=3)
         add_owned(s, 0, 1)
         add_owned(s, 1, 2)
         match(s, 1, 2)
-        assert random_settle_augmented(s, 0) == 2
+        assert random_settle_augmented(s, 0) is None
         assert s.mate[0] == 1 and s.mate[2] is None
+        assert ("naive_settle_augmented", 2, 1) in s.trace
+        assert 2 in s.free_index[1]
+        assert check_invariants(s).ok
 
     def test_seeded_replay_identical(self):
         mates = []
@@ -561,6 +565,13 @@ def assert_level1_targets_covered(s):
         assert not missing, (x, missing)
 
 
+def assert_no_repeated_settle(trace):
+    """A displaced vertex is settled once: no naive_settle_augmented call
+    directly repeats the one before it."""
+    for prev, call in zip(trace, trace[1:]):
+        assert not (call == prev and call[0] == "naive_settle_augmented"), trace
+
+
 def fingerprint(s):
     """Everything an update may touch, in layout order."""
     return (
@@ -652,14 +663,18 @@ class UpdateMachine(RuleBasedStateMachine):
     @rule(data=st.data())
     def insert(self, data):
         u, v = self._draw_pair(data, present=False)
-        assert len(insert_edge(self.s, u, v)) <= 30
+        trace = insert_edge(self.s, u, v)
+        assert len(trace) <= 30
+        assert_no_repeated_settle(trace)
         self.touched.update((u, v))
 
     @precondition(lambda self: self.s.edge_count)
     @rule(data=st.data())
     def delete(self, data):
         u, v = self._draw_pair(data, present=True)
-        assert len(delete_edge(self.s, u, v)) <= 30
+        trace = delete_edge(self.s, u, v)
+        assert len(trace) <= 30
+        assert_no_repeated_settle(trace)
 
     @rule(data=st.data())
     def rejected(self, data):
@@ -727,6 +742,7 @@ def test_named_pattern_replays_clean(pattern, threshold):
 
         def on_update(i, op, calls, elapsed_ns):
             traces.append(calls)
+            assert_no_repeated_settle(calls)
             if verify_every:
                 assert_level1_targets_covered(s)
 
@@ -752,11 +768,11 @@ def test_random_settle_records_its_raised_picker():
 # update the constants and say why.  A key is (generator, seed, threshold),
 # plus n where it is not 64.
 PINNED_DIGESTS = {
-    ("random", 0, None): "123ca0872672b5baf81a05caa822df948f4365920a89a91f4a5b324e1692f831",
+    ("random", 0, None): "dbad52e9efaab75cee64daf968626490659e40307d5d90d22426268797ab7a70",
     ("random", 0, 3): "5a25db58a82ff4453a6e249f4e18e608aecee4947c63a78945a4127486166f78",
     ("random", 1, None): "c8b59972aeb55673ec2f8b1db64240fbd689ecef5cd88ecf71b898e6969a663b",
     ("random", 1, 3): "4e42bf296cbabbe1249dc511b862488d020e9444ef21cbc964f57d8ca5e576d6",
-    ("random", 2, None): "9a7ce7c572c7770e5555cdcdcc06b9f6dd82666ea5c17804e91cd9bfb9e060ed",
+    ("random", 2, None): "a8449ec385be0f7037dd17965aeade77886a9a358c2d17c42ead619013ff5c06",
     ("random", 2, 3): "a9dfea3c5b49f75b5e76d084a2dd793397c497a8b8d399dcf3ae247a8b592469",
     ("star-churn", 0, None): "0b6a36deef8d82f8b5fe00741cbfbd89255f720320fc554a1e1702b4d0d1836a",
     ("star-churn", 0, 3): "95d7170fcf4ec12d138bb74387d901394ba1bff668e172e9da134f11be227b50",
@@ -768,12 +784,38 @@ PINNED_DIGESTS = {
 }
 
 
+# sha256 over repr((matching_size, mate, level)) after every update, one per
+# PINNED_DIGESTS key.  These pin the states alone: a change that only drops
+# or reorders procedure calls must leave them as they are.
+PINNED_STATE_DIGESTS = {
+    ("random", 0, None): "127df7303bb47ec82a9891038b4faf834d4b345cd70998e9e48f011b6772e3d1",
+    ("random", 0, 3): "a4c30da0ddaa05b59cbd2e7e83d65de2f60e1fd2eed68cbb8f5fdddcc76c43cc",
+    ("random", 1, None): "a1f3c93a4e967690dbd4c25c8d88c6c091650f4aeab431a7ef2deba56eecadd2",
+    ("random", 1, 3): "dcd3cef602229defae50cfd9ef945127bdda7e9d5fc84713a83a1607a913fcc5",
+    ("random", 2, None): "caeb243c983efe63c2458a3424785423fbd8af162c66b99b2aee88d04357d32f",
+    ("random", 2, 3): "6fa7b6912a5913b6f4b94222bd7f572f240c2479785c4c2c53a15030def93319",
+    ("star-churn", 0, None): "b1be923860bce02dbe0f7d179e7e9fb05c7d8aa917be23ff0a96187e7fcbbd3e",
+    ("star-churn", 0, 3): "44f787be552e241f33c16ff5c5d36863db6ea4e258167e3a5ce0b4f63322096e",
+    ("star-churn", 0, None, 256): "f01091b756bbb083ba56fb1a94050eb6d2708562787831a8321eeb83692020dc",
+    ("random", 0, None, 4096, 8192): "e581c8f89450bb64f74793be296c69d3518aeba2428022b4e69db09dcefa88ce",
+}
+
+
 def _pinned_id(key):
     gen, seed, threshold, *shape = key
     return "-".join(map(str, (gen, *shape, seed, threshold)))
 
 
-def _replay_digest(key):
+def _trace_fields(calls, s):
+    return calls, s.matching_size, s.mate
+
+
+def _state_fields(calls, s):
+    return s.matching_size, s.mate, s.level
+
+
+def _replay_digest(key, fields=_trace_fields):
+    """sha256 over repr(fields(calls, state)) after every update of ``key``."""
     gen, seed, threshold, *shape = key
     n = shape[0] if shape else 64
     t = shape[1] if len(shape) > 1 else 4000
@@ -785,7 +827,7 @@ def _replay_digest(key):
     h = hashlib.sha256()
 
     def on_update(i, op, calls, elapsed_ns):
-        h.update(repr((calls, s.matching_size, s.mate)).encode())
+        h.update(repr(fields(calls, s)).encode())
 
     replay(s, seq.ops, on_update=on_update)
     return h.hexdigest()
@@ -794,6 +836,11 @@ def _replay_digest(key):
 @pytest.mark.parametrize("key", sorted(PINNED_DIGESTS, key=repr), ids=_pinned_id)
 def test_trajectory_digest_pinned(key):
     assert _replay_digest(key) == PINNED_DIGESTS[key]
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_DIGESTS, key=repr), ids=_pinned_id)
+def test_state_digest_pinned(key):
+    assert _replay_digest(key, _state_fields) == PINNED_STATE_DIGESTS[key]
 
 
 def test_hub_transfers_served_from_target_set(monkeypatch):
