@@ -171,7 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", default="json", choices=("json", "csv"))
 
     p_bench = sub.add_parser("bench", help="amortized update-time scaling")
-    p_bench.add_argument("--n-list", type=lambda s: [int(x) for x in s.split(",")],
+    # a single vertex has no edge to insert, so each count must be >= 2
+    vertex_count = _int_at_least(2)
+    p_bench.add_argument("--n-list", type=lambda s: [vertex_count(x) for x in s.split(",")],
                          required=True)
     p_bench.add_argument("--updates-per-n", type=_int_at_least(1), default=10,
                          help="updates per vertex: t = factor * n")

@@ -30,8 +30,9 @@ and :func:`insert_edge`/:func:`delete_edge` reject an out-of-range id, a
 self-loop, a duplicate insert and an absent delete before any mutation.
 Below them nothing is re-checked: the procedures, the macros and the
 :mod:`dynmatch.core` primitives trust their callers, and ``_match`` and
-``_unmatch`` are the only writers of the matching.  The verifier is the
-safety net.
+``_unmatch`` are the only writers of the matching and the only emitters of
+the observer's epoch events (a level raise restarts an epoch by unmatching
+and matching the pair again).  The verifier is the safety net.
 """
 
 from __future__ import annotations
@@ -50,8 +51,12 @@ PROCEDURE_NAMES = (
 )
 
 
-def _match(state, u, v, creator, *, random_pick=False, owner=None, init=None):
-    """Match u and v, plus the epoch-creation event for the metrics observer."""
+def _match(state, u, v, creator, *, init=None):
+    """Match u and v, plus the epoch-creation event for the metrics observer.
+
+    ``init`` is the snapshot of u's owned edges that a random settle takes:
+    the epoch is random, and owned by u, exactly when it is given.
+    """
     mate = state.mate
     mate[u] = v
     mate[v] = u
@@ -63,9 +68,9 @@ def _match(state, u, v, creator, *, random_pick=False, owner=None, init=None):
             state.update_index,
             (u, v) if u < v else (v, u),
             max(level[u], level[v]),
-            "random" if random_pick else "deterministic",
+            "deterministic" if init is None else "random",
             creator=creator,
-            owner=owner,
+            owner=None if init is None else u,
             owned_init=init,
         )
 
@@ -256,32 +261,25 @@ def random_settle_augmented(state: State, u: int) -> None:
     transfer_ownership_to(state, y)
     # y now owns (y, u), and u rises below without a scan.
     _note_level1(state, y, u)
-    mate = state.mate
-    if mate[y] is not None:
-        x = mate[y]
+    x = state.mate[y]
+    if x is not None:
         _unmatch(state, x, y)
-    else:
-        x = None
     level = state.level
     level[u] = 1
     level[y] = 1
-    _match(state, u, y, "random_settle_augmented", random_pick=True, owner=u, init=init)
+    _match(state, u, y, "random_settle_augmented", init=init)
     delete_from_f_list(state, u)
     delete_from_f_list(state, y)
-    free_index = state.free_index
-    fu = free_index[u]
-    w = fu.get_free()
+    w = state.free_index[u].get_free()
     if w is not None:
         z = check_3_aug_path(state, w, u)
         if z is not None:
             fix_3_aug_path_d(state, w, u, y, z)
-        elif w in free_index[y]:
+        elif w in state.free_index[y]:
             # F(y) is exactly {w}: any surviving path must end at w on
             # y's side, so retry the near side with a different free
-            # neighbor of u.
-            fu.delete(w)
-            x2 = fu.get_free()
-            fu.insert(w)
+            # neighbor of u (mate(y) is u, so this probes F(u) without w).
+            x2 = check_3_aug_path(state, w, y)
             if x2 is not None:
                 fix_3_aug_path_d(state, x2, u, y, w)
     if x is not None:
@@ -292,8 +290,8 @@ def deterministic_raise_level_to_1(state: State, u: int) -> None:
     """Raise a matched level-0 pair to level 1, keeping the matching.
 
     u takes every incident edge; its mate collects the edges owned by its
-    own level-0 neighbors.  The epoch restarts at level 1 for the metrics
-    stream.
+    own level-0 neighbors.  The pair is unmatched and matched again at
+    level 1, so its epoch restarts at level 1 for the metrics stream.
     """
     state.trace.append(("deterministic_raise_level_to_1", u))
     v = state.mate[u]
@@ -302,19 +300,8 @@ def deterministic_raise_level_to_1(state: State, u: int) -> None:
     level = state.level
     level[u] = 1
     level[v] = 1
-    obs = state.observer
-    if obs is not None:
-        edge = (u, v) if u < v else (v, u)
-        obs.on_match_unset(state.update_index, edge)
-        obs.on_match_set(
-            state.update_index,
-            edge,
-            1,
-            "deterministic",
-            creator="deterministic_raise_level_to_1",
-            owner=None,
-            owned_init=None,
-        )
+    _unmatch(state, u, v)
+    _match(state, u, v, "deterministic_raise_level_to_1")
 
 
 def randomised_raise_level_to_1(state: State, u: int) -> None:
@@ -417,12 +404,13 @@ def handle_delete_level1(state: State, u: int, flag: int) -> None:
 def handle_insert_level0(state: State, u: int, v: int) -> None:
     """Insertion casework when both endpoints sit at level 0.
 
-    The new edge is charged to the endpoint with the larger ownership list
-    (ties to the first argument); two free endpoints are matched on the
-    spot.  The list that reaches the threshold triggers a randomized
-    re-match of its vertex, with displaced mates settled afterwards;
-    below the threshold the cases reduce to degree raises or a single
-    augmenting-path probe.
+    The new edge is charged to ``u``, the endpoint with the larger
+    ownership list (ties to the first argument); two free endpoints are
+    matched on the spot.  If u's list reaches the threshold, u is
+    re-matched randomly and its displaced mate settled.  Otherwise ``p``
+    is a matched endpoint (v when v is matched) and ``q`` the other: an
+    over-degree p is raised randomly, a free q probes for the augmenting
+    path q-p-mate(p)-z, and an over-degree matched q is raised randomly.
     """
     state.trace.append(("handle_insert_level0", u, v))
     mate = state.mate
@@ -430,45 +418,35 @@ def handle_insert_level0(state: State, u: int, v: int) -> None:
     adj = state.adj
     threshold = state.threshold
     owners = state.owners
-    if len(owners[u]) >= len(owners[v]):
-        state.own_add(u, v)
-    else:
-        state.own_add(v, u)
+    if len(owners[u]) < len(owners[v]):
+        u, v = v, u
+    state.own_add(u, v)
     both_free = mate[u] is None and mate[v] is None
     if both_free:
         _match(state, u, v, "handle_insert_level0")
-    if len(owners[v]) > len(owners[u]):
-        u, v = v, u
     if len(owners[u]) >= threshold:
         transfer_ownership_to(state, u)
         old_mate = mate[u]
         if old_mate is not None:
             _unmatch(state, u, old_mate)
         random_settle_augmented(state, u)
-        if old_mate is not None and mate[old_mate] is None and level[old_mate] == 0:
-            naive_settle_augmented(state, old_mate, 1)
+        if old_mate is not None and mate[old_mate] is None:
+            _settle(state, old_mate, 1)
         if not both_free:
             if mate[v] is not None and len(adj[v]) >= threshold and level[v] == 0:
                 deterministic_raise_level_to_1(state, v)
     else:
-        if mate[v] is not None:
-            if len(adj[v]) >= threshold:
-                randomised_raise_level_to_1(state, v)
-                if mate[u] is not None and len(adj[u]) >= threshold and level[u] == 0:
-                    deterministic_raise_level_to_1(state, u)
-            elif mate[u] is None:
-                z = check_3_aug_path(state, u, v)
-                if z is not None:
-                    fix_3_aug_path(state, u, v, mate[v], z)
-            elif len(adj[u]) >= threshold:
-                randomised_raise_level_to_1(state, u)
-        elif mate[u] is not None:
-            if len(adj[u]) >= threshold:
-                randomised_raise_level_to_1(state, u)
-            elif mate[v] is None:
-                z = check_3_aug_path(state, v, u)
-                if z is not None:
-                    fix_3_aug_path(state, v, u, mate[u], z)
+        p, q = (v, u) if mate[v] is not None else (u, v)
+        if len(adj[p]) >= threshold:
+            randomised_raise_level_to_1(state, p)
+            if mate[q] is not None and len(adj[q]) >= threshold and level[q] == 0:
+                deterministic_raise_level_to_1(state, q)
+        elif mate[q] is None:
+            z = check_3_aug_path(state, q, p)
+            if z is not None:
+                fix_3_aug_path(state, q, p, mate[p], z)
+        elif len(adj[q]) >= threshold:
+            randomised_raise_level_to_1(state, q)
         if both_free and len(adj[u]) < threshold and len(adj[v]) < threshold:
             delete_from_f_list(state, u)
             delete_from_f_list(state, v)

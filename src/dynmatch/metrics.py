@@ -68,14 +68,12 @@ class EpochTracker:
         self.closed = 0
         self._live: dict[tuple[int, int], int] = {}
         self._watchers: dict[tuple[int, int], list[int]] = {}
-        self._current_update = -1
         self._open_set: int | None = None
         self._random_seen_this_update = False
 
     # -- engine hooks --------------------------------------------------
 
     def on_update_begin(self, index: int, kind: str, u: int, v: int) -> None:
-        self._current_update = index
         self._open_set = None
         self._random_seen_this_update = False
 

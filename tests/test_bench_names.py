@@ -1,16 +1,18 @@
 """The traced benchmark run (``perfbench/run.py --trace 1``) wraps engine and
-core functions looked up by name, so renaming one would break it without any
-test of the package failing.  These tests read its name lists and check that
-every name still resolves; nothing under ``perfbench/`` is written.
+core functions looked up by name and drives the metrics classes by name, so
+renaming one would break it without any test of the package failing.  These
+tests read its name lists and check that every name still resolves; nothing
+under ``perfbench/`` is written.
 """
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from dynmatch import core, engine
+from dynmatch import core, engine, metrics
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -51,3 +53,17 @@ def test_procedures_and_entry_points_exist():
     per_layer = {m["name"] for m in benchmark["per_layer"]}
     for name in engine.PROCEDURE_NAMES:
         assert f"engine.{name}.calls" in per_layer, name
+
+
+def test_metrics_names_used_by_the_traced_run(tracing):
+    hooks = tracing.Hooks.OBSERVER_HOOKS
+    assert hooks
+    tracker = metrics.EpochTracker()
+    for hook in hooks:
+        assert callable(getattr(tracker, hook, None)), hook
+    fields = {f.name for f in dataclasses.fields(metrics.RunStats)}
+    # the keywords Hooks.attach passes and the counts export_ms sets
+    assert {"n", "threshold", "seed", "tracker",
+            "final_edge_count", "final_matching_size"} <= fields
+    assert callable(getattr(metrics.RunStats, "record_update", None))
+    assert callable(getattr(metrics, "export", None))

@@ -130,6 +130,15 @@ class TestBench:
         assert captured.out == ""
         assert "--updates-per-n: must be >= 1, got 0" in captured.err
 
+    @pytest.mark.parametrize("n_list, bad", [("4,-3", -3), ("0", 0), ("1", 1)])
+    def test_bad_vertex_count_is_exit_2_before_any_cell(self, capsys, n_list, bad):
+        rc = main(["bench", "--n-list", n_list, "--updates-per-n", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "bench n=" not in captured.err
+        assert f"--n-list: must be >= 2, got {bad}" in captured.err
+
 
 class TestViolationExitCode:
     # the engine never produces a dirty state, so force one to pin the

@@ -801,6 +801,23 @@ PINNED_STATE_DIGESTS = {
 }
 
 
+# sha256 over every observer event (hook name and arguments), one per
+# PINNED_DIGESTS key.  These pin the epoch stream the metrics see: a change
+# to how an event is produced must leave them as they are.
+PINNED_EVENT_DIGESTS = {
+    ("random", 0, None): "028c97b185c0b8c0c3880f4bc5b7025fd1ef7b5c76002c226ecdb38c37ddf90a",
+    ("random", 0, 3): "33609060f4e2585ba6e904a2ba8b215c273144c13f56b5f342022ff81e9359bd",
+    ("random", 1, None): "a77bbe32615f8f49d1907aa3bad965bf87963f742058844b0573455b1b3726d1",
+    ("random", 1, 3): "64950935d3f686d857e7f7c0bb7478c04fcc23f47961b32d6aa471f9559187d1",
+    ("random", 2, None): "d2f87991004b6fec77663cd68bd41bca051fe74742344a1635c8bb77500c2903",
+    ("random", 2, 3): "e248cc262ecc0d2f22b2f4a306cc0059b36d9dad6750035ea013b8ad534a708c",
+    ("star-churn", 0, None): "211f81f3bd50fa0caba061b79cc0e4748296fd2d3029a7f83f0d4b0549006676",
+    ("star-churn", 0, 3): "03e80a225750c8ff26681b52847b061cea5848b26a9e790083f99d5dd6a001b9",
+    ("star-churn", 0, None, 256): "327ea8edd105f64b7c0e55561cf087f3299ad5c4d4b9262848d662d6379ebd1b",
+    ("random", 0, None, 4096, 8192): "95a790a98becc9d89a63c73e74849b625e31cc4eb233aecf805c6214f5e4a732",
+}
+
+
 def _pinned_id(key):
     gen, seed, threshold, *shape = key
     return "-".join(map(str, (gen, *shape, seed, threshold)))
@@ -814,8 +831,8 @@ def _state_fields(calls, s):
     return s.matching_size, s.mate, s.level
 
 
-def _replay_digest(key, fields=_trace_fields):
-    """sha256 over repr(fields(calls, state)) after every update of ``key``."""
+def _pinned_run(key):
+    """The fresh state and the update ops of a pinned ``key``."""
     gen, seed, threshold, *shape = key
     n = shape[0] if shape else 64
     t = shape[1] if len(shape) > 1 else 4000
@@ -823,14 +840,53 @@ def _replay_digest(key, fields=_trace_fields):
         seq = gen_random(n, t, 0.6, seed)
     else:
         seq = gen_named(gen, n, seed)
-    s = State(Config(n=seq.n, threshold=threshold, seed=seed))
+    return State(Config(n=seq.n, threshold=threshold, seed=seed)), seq.ops
+
+
+def _replay_digest(key, fields=_trace_fields):
+    """sha256 over repr(fields(calls, state)) after every update of ``key``."""
+    s, ops = _pinned_run(key)
     h = hashlib.sha256()
 
     def on_update(i, op, calls, elapsed_ns):
         h.update(repr(fields(calls, s)).encode())
 
-    replay(s, seq.ops, on_update=on_update)
+    replay(s, ops, on_update=on_update)
     return h.hexdigest()
+
+
+class EventRecorder:
+    """An observer with all five hooks that hashes each call's hook name and
+    arguments, keywords included, in the order the engine makes them."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def _record(self, *event):
+        self.sha.update(repr(event).encode())
+
+    def on_update_begin(self, index, kind, u, v):
+        self._record("on_update_begin", index, kind, u, v)
+
+    def on_update_end(self, index, matching_size):
+        self._record("on_update_end", index, matching_size)
+
+    def on_match_set(self, index, edge, level, cls, *, creator, owner, owned_init):
+        self._record("on_match_set", index, edge, level, cls, creator, owner, owned_init)
+
+    def on_match_unset(self, index, edge):
+        self._record("on_match_unset", index, edge)
+
+    def on_edge_deleted(self, index, edge):
+        self._record("on_edge_deleted", index, edge)
+
+
+def _event_digest(key):
+    """sha256 over the observer event stream of the replay of ``key``."""
+    s, ops = _pinned_run(key)
+    s.observer = recorder = EventRecorder()
+    replay(s, ops)
+    return recorder.sha.hexdigest()
 
 
 @pytest.mark.parametrize("key", sorted(PINNED_DIGESTS, key=repr), ids=_pinned_id)
@@ -841,6 +897,11 @@ def test_trajectory_digest_pinned(key):
 @pytest.mark.parametrize("key", sorted(PINNED_DIGESTS, key=repr), ids=_pinned_id)
 def test_state_digest_pinned(key):
     assert _replay_digest(key, _state_fields) == PINNED_STATE_DIGESTS[key]
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_DIGESTS, key=repr), ids=_pinned_id)
+def test_event_digest_pinned(key):
+    assert _event_digest(key) == PINNED_EVENT_DIGESTS[key]
 
 
 def test_hub_transfers_served_from_target_set(monkeypatch):
