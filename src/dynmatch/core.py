@@ -59,7 +59,8 @@ class Config:
 
 
 class IndexableSet(dict):
-    """Set of ints with O(1) add/remove/contains and O(1) uniform sampling.
+    """Set of hashable members with O(1) add/remove/contains and O(1) uniform
+    sampling.
 
     The dict maps each member to its slot in the dense list ``_items``, so
     ``in``, ``len`` and truthiness are the dict's own C-level operations.

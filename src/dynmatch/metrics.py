@@ -64,21 +64,17 @@ class EpochTracker:
     def __init__(self) -> None:
         self.epochs: list[EpochRecord] = []
         self.epoch_sets: list[EpochSetRecord] = []
-        self.opened = 0
-        self.closed = 0
         self._live: dict[tuple[int, int], int] = {}
         self._watchers: dict[tuple[int, int], list[int]] = {}
-        self._open_set: int | None = None
-        self._random_seen_this_update = False
+        self._open_set: int | None = None  # set of this update's latest random epoch
 
     # -- engine hooks --------------------------------------------------
 
     def on_update_begin(self, index: int, kind: str, u: int, v: int) -> None:
         self._open_set = None
-        self._random_seen_this_update = False
 
     def on_update_end(self, index: int, matching_size: int) -> None:
-        self._open_set = None
+        """Nothing to close: :meth:`on_update_begin` resets the open set."""
 
     def on_match_set(
         self,
@@ -100,15 +96,13 @@ class EpochTracker:
             level=level,
             cls=cls,
             creator=creator,
-            preceded_by_random=self._random_seen_this_update,
+            preceded_by_random=self._open_set is not None,
             owner=owner,
             owner_init_size=len(owned_init) if owned_init is not None else None,
         )
         self.epochs.append(rec)
         self._live[edge] = eid
-        self.opened += 1
         if cls == "random":
-            self._random_seen_this_update = True
             self._open_set = len(self.epoch_sets)
             self.epoch_sets.append(EpochSetRecord(representative=eid))
             if owned_init:
@@ -122,7 +116,6 @@ class EpochTracker:
         if eid is None:
             raise ValueError(f"unset without an open epoch for {edge}")
         self.epochs[eid].terminated_at = index
-        self.closed += 1
 
     def on_edge_deleted(self, index: int, edge: tuple[int, int]) -> None:
         watchers = self._watchers.pop(edge, None)
@@ -135,8 +128,16 @@ class EpochTracker:
     # -- summaries ------------------------------------------------------
 
     @property
+    def opened(self) -> int:
+        return len(self.epochs)
+
+    @property
+    def closed(self) -> int:
+        return len(self.epochs) - len(self._live)
+
+    @property
     def live_count(self) -> int:
-        return self.opened - self.closed
+        return len(self._live)
 
     def epoch_counts(self) -> dict[str, int]:
         c = {"level0": 0, "level1_random": 0, "level1_deterministic": 0}
@@ -168,12 +169,16 @@ class EpochTracker:
         }
 
 
+CSV_COLUMNS = ("index", "op", "u", "v", "trace_len", "matching_size", "wall_ns")
+
+
 @dataclass
 class RunStats:
     """Per-run record: configuration, per-update rows, and epoch summaries.
 
-    Wall-clock numbers live only under the ``timing`` key of the export so
-    determinism checks can diff everything else byte for byte.
+    Each row is one tuple in :data:`CSV_COLUMNS` order.  Its ``wall_ns`` is
+    the run's only wall-clock number, exported under the JSON ``timing``
+    key, so determinism checks can diff everything else byte for byte.
     """
 
     n: int
@@ -181,10 +186,8 @@ class RunStats:
     seed: int
     gen: str | None = None
     gen_seed: int | None = None
-    rows: list[dict] = field(default_factory=list)
-    wall_ns: list[int] = field(default_factory=list)
+    rows: list[tuple] = field(default_factory=list)
     procedures: Counter = field(default_factory=Counter)
-    max_trace_len: int = 0
     tracker: EpochTracker | None = None
     final_edge_count: int = 0
     final_matching_size: int = 0
@@ -193,20 +196,8 @@ class RunStats:
         self, index: int, kind: str, u: int, v: int,
         trace_names: list[str], matching_size: int, wall_ns: int,
     ) -> None:
-        self.rows.append(
-            {
-                "index": index,
-                "op": kind,
-                "u": u,
-                "v": v,
-                "trace_len": len(trace_names),
-                "matching_size": matching_size,
-            }
-        )
-        self.wall_ns.append(wall_ns)
+        self.rows.append((index, kind, u, v, len(trace_names), matching_size, wall_ns))
         self.procedures.update(trace_names)
-        if len(trace_names) > self.max_trace_len:
-            self.max_trace_len = len(trace_names)
 
     def recorder(self, state):
         """An ``on_update`` callback for :func:`dynmatch.replay.replay` that
@@ -222,14 +213,14 @@ class RunStats:
         return on_update
 
     def totals(self) -> dict:
-        inserts = sum(1 for r in self.rows if r["op"] == "+")
+        inserts = sum(1 for r in self.rows if r[1] == "+")
         return {
             "updates": len(self.rows),
             "inserts": inserts,
             "deletes": len(self.rows) - inserts,
             "final_matching_size": self.final_matching_size,
             "final_edge_count": self.final_edge_count,
-            "max_trace_len": self.max_trace_len,
+            "max_trace_len": max((r[4] for r in self.rows), default=0),
             "procedure_calls": dict(sorted(self.procedures.items())),
         }
 
@@ -239,7 +230,7 @@ class RunStats:
             "config": {"n": self.n, "threshold": self.threshold, "seed": self.seed},
             "workload": {"gen": self.gen, "seed": self.gen_seed},
             "totals": self.totals(),
-            "per_update": self.rows,
+            "per_update": [dict(zip(CSV_COLUMNS[:-1], r)) for r in self.rows],
         }
         if self.tracker is not None:
             d["epochs"] = {
@@ -248,11 +239,12 @@ class RunStats:
                 **self.tracker.epoch_counts(),
             }
             d["epoch_sets"] = self.tracker.set_counts()
-        total_ns = sum(self.wall_ns)
+        wall_ns = [r[-1] for r in self.rows]
+        total_ns = sum(wall_ns)
         d["timing"] = {
             "total_ns": total_ns,
             "amortized_ns_per_update": (total_ns // len(self.rows)) if self.rows else 0,
-            "per_update_ns": list(self.wall_ns),
+            "per_update_ns": wall_ns,
         }
         return d
 
@@ -286,9 +278,6 @@ class RunStats:
         return "".join(f"{k:<{width}}  {v}\n" for k, v in rows)
 
 
-CSV_COLUMNS = ("index", "op", "u", "v", "trace_len", "matching_size", "wall_ns")
-
-
 def export(stats: RunStats, format: str) -> str:
     """Serialize a finished run; ``format`` is "json" or "csv".
 
@@ -302,10 +291,6 @@ def export(stats: RunStats, format: str) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(CSV_COLUMNS)
-        for row, ns in zip(stats.rows, stats.wall_ns):
-            writer.writerow(
-                [row["index"], row["op"], row["u"], row["v"],
-                 row["trace_len"], row["matching_size"], ns]
-            )
+        writer.writerows(stats.rows)
         return buf.getvalue()
     raise ValueError(f"unknown format {format!r}")

@@ -13,6 +13,8 @@ import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from .core import IndexableSet
+
 INSERT = "+"
 DELETE = "-"
 
@@ -87,6 +89,8 @@ def gen_random(n: int, t: int, p_insert: float, seed: int) -> UpdateSequence:
     complete or empty, so the requested length is always met.  p_insert = 1
     yields a pure insertion stream.
     """
+    if n < 1:
+        raise ValueError(f"vertex count must be >= 1, got {n}")
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     if not 0.0 < p_insert <= 1.0:
@@ -95,8 +99,7 @@ def gen_random(n: int, t: int, p_insert: float, seed: int) -> UpdateSequence:
         raise ValueError("need at least 2 vertices to generate updates")
     rng = random.Random(seed)
     complete = n * (n - 1) // 2
-    present: list[tuple[int, int]] = []
-    pos: dict[tuple[int, int], int] = {}
+    present = IndexableSet()
     ops: list[UpdateOp] = []
     for _ in range(t):
         do_insert = rng.random() < p_insert
@@ -111,19 +114,13 @@ def gen_random(n: int, t: int, p_insert: float, seed: int) -> UpdateSequence:
                 if u == v:
                     continue
                 e = (u, v) if u < v else (v, u)
-                if e not in pos:
+                if e not in present:
                     break
-            pos[e] = len(present)
-            present.append(e)
+            present.add(e)
             ops.append(UpdateOp(INSERT, e[0], e[1]))
         else:
-            i = rng.randrange(len(present))
-            e = present[i]
-            last = present.pop()
-            if last != e:
-                present[i] = last
-                pos[last] = i
-            del pos[e]
+            e = present.sample(rng)
+            present.remove(e)
             ops.append(UpdateOp(DELETE, e[0], e[1]))
     return UpdateSequence(n=n, ops=ops, gen="random", seed=seed)
 
@@ -140,6 +137,8 @@ def gen_named(pattern: str, n: int, seed: int) -> UpdateSequence:
     path-zipper: grow a path inserting each 4-block's middle edge first --
     manufactures a length-3 augmenting path at every block.
     """
+    if n < 1:
+        raise ValueError(f"vertex count must be >= 1, got {n}")
     ops: list[UpdateOp] = []
     if pattern == "star-churn":
         if n < 2:

@@ -1,8 +1,9 @@
 """The traced benchmark run (``perfbench/run.py --trace 1``) wraps engine and
 core functions looked up by name and drives the metrics classes by name, so
 renaming one would break it without any test of the package failing.  These
-tests read its name lists and check that every name still resolves; nothing
-under ``perfbench/`` is written.
+tests read its name lists and check that every name still resolves, and
+drive its metrics hooks over a short sequence; nothing under ``perfbench/``
+is written.
 """
 
 import dataclasses
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from dynmatch import core, engine, metrics
+from dynmatch import Config, State, core, engine, gen_random, metrics
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -67,3 +68,25 @@ def test_metrics_names_used_by_the_traced_run(tracing):
             "final_edge_count", "final_matching_size"} <= fields
     assert callable(getattr(metrics.RunStats, "record_update", None))
     assert callable(getattr(metrics, "export", None))
+
+
+def test_traced_run_drives_the_metrics_classes(tracing):
+    """Hooks as a traced pass drives them: one RunStats row per update and
+    a CSV export of one line per row after the header."""
+    seq = gen_random(16, 300, 0.6, 4)
+    state = State(Config(n=seq.n, threshold=2, seed=4))
+    tracer = tracing.Tracer()
+    hooks = tracing.Hooks(tracer)
+    root = tracer.open("bench.pass")
+    hooks.attach(state)
+    for i, op in enumerate(seq.ops):
+        hooks.begin(i)
+        calls = engine.apply_update(state, op.kind, op.u, op.v)
+        hooks.end(i, op.kind, op.u, op.v, calls, 0)
+    hooks.export_ms()  # also sets the final counts
+    tracer.close(root)
+    stats = hooks.stats
+    assert len(stats.rows) == len(seq.ops)
+    assert len(metrics.export(stats, "csv").splitlines()) == len(seq.ops) + 1
+    assert stats.final_matching_size == state.matching_size
+    assert stats.tracker.live_count == state.matching_size

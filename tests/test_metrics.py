@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import hashlib
 import io
 import json
 
@@ -13,6 +15,8 @@ from dynmatch import (
     State,
     classify_epoch_set,
     export,
+    extend_with_teardown,
+    gen_named,
     gen_random,
     replay,
 )
@@ -205,3 +209,51 @@ class TestExport:
         doc = json.loads(export(stats, "json"))
         t = doc["timing"]
         assert t["amortized_ns_per_update"] == t["total_ns"] // doc["totals"]["updates"]
+
+
+# sha256 over a run's metrics export: the JSON document without ``timing``,
+# the CSV without its ``wall_ns`` column, the summary table, and every field
+# of every EpochRecord and EpochSetRecord.  These pin what the export says,
+# however RunStats and EpochTracker store it.  A key is (generator, n,
+# threshold); every run uses seed 7 and ends with a teardown.
+PINNED_EXPORT_DIGESTS = {
+    ("random", 16, 2):
+        "ed05a610a173da5e9aa7522886a90363d0df220c4b14218d3f9cf2a55e9b3b7c",
+    ("random", 64, None):
+        "026ba7e94504871ac7f6a9beb6b542bad6a37a8d4a9ff5a1304941276780016f",
+    ("random", 40, 3):
+        "d1960f494f1d6a754d2975c87061975223a59db83aae3c48fa34aa0e3f80ac81",
+    ("star-churn", 64, None):
+        "a6e6ad2bfcb3be2063512fc38c43905cdd7fce7338a35d63bc4d82524370d5a4",
+    ("path-zipper", 64, None):
+        "87d906cb844125f14a154a52c1c7c2bf6d6118ba106078a2718355d7ead73b5d",
+}
+
+
+def _export_digest(gen, n, threshold, seed=7):
+    if gen == "random":
+        seq = gen_random(n, 600, 0.6, seed)
+    else:
+        seq = gen_named(gen, n, seed)
+    seq = extend_with_teardown(seq)
+    s, tr = tracked_state(n, threshold, seed)
+    stats = RunStats(n=n, threshold=s.threshold, seed=seed,
+                     gen=seq.gen, gen_seed=seq.seed, tracker=tr)
+    replay(s, seq.ops, verify_every=0, on_update=stats.recorder(s))
+    h = hashlib.sha256()
+    doc = json.loads(export(stats, "json"))
+    del doc["timing"]
+    h.update(json.dumps(doc, indent=2).encode())
+    for row in csv.reader(io.StringIO(export(stats, "csv"))):
+        assert row[-1] == "wall_ns" or row[-1].isdigit()
+        h.update(repr(row[:-1]).encode())
+    h.update(stats.summary_table().encode())
+    for rec in tr.epochs + tr.epoch_sets:
+        h.update(repr(dataclasses.astuple(rec)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("key", list(PINNED_EXPORT_DIGESTS),
+                         ids=lambda k: "-".join(map(str, k)))
+def test_export_digest_pinned(key):
+    assert _export_digest(*key) == PINNED_EXPORT_DIGESTS[key]

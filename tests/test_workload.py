@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,6 +55,46 @@ class TestGenRandom:
         with pytest.raises(ValueError):
             gen_random(4, 5, 1.2, 0)
 
+    def test_empty_vertex_set_rejected(self):
+        # parse rejects n=0, so the generator must not emit it
+        with pytest.raises(ValueError, match="vertex count must be >= 1"):
+            gen_random(0, 0, 0.5, 1)
+
+
+# sha256 over serialize(gen_random(n, t, p_insert, seed)), keyed by the
+# arguments.  The two large keys are the benchmark's sparse-large and
+# dense-level1 shapes; the small ones saturate the graph or empty it, so the
+# fallback to the other action runs.
+PINNED_GEN_RANDOM_DIGESTS = {
+    (65536, 131072, 0.6, 31):
+        "553d0c4cbc1b21fa54aaee8503f2a16fd28d192d9971803a007e3b364d626ed6",
+    (1024, 160000, 0.6, 31):
+        "a1a781456de440b2d63c65c5b0cbfc26550ea190e5f41590dcac48a5159b3ae6",
+    (2, 40, 0.3, 1):
+        "b0b195086892b019d48f71d833681673f43ec2fbd7b74c19dabe258cd10e1f38",
+    (2, 40, 1.0, 1):
+        "b0b195086892b019d48f71d833681673f43ec2fbd7b74c19dabe258cd10e1f38",
+    (3, 60, 0.3, 2):
+        "3d7a2c30ac9852980fb5e70800e6fdc2275f2b28ba15742fefe754d2f7b3f29b",
+    (3, 60, 1.0, 2):
+        "3818f53225518ffba13de4b6c3d31067bddd4b1193acbd4d6287de9c82feb65a",
+    (4, 80, 0.3, 3):
+        "ecda72e08f8be001a906ccd59799aec6c091bb6e83bf697b5f86f0869cb3d4f0",
+    (4, 80, 1.0, 3):
+        "5fe8f9f6b4c67b5cb0e4d04ae3c53fa203cad4b2eb30bd13d4d6fd0734beb235",
+    (5, 120, 0.3, 4):
+        "5bff9e04d88ccf520e20204e60987f2a31081716e96ca5eaafcd9c45599bb592",
+    (5, 120, 1.0, 4):
+        "472e501e8c2702db172d194d6b23e11ec0e372ef5e297557e559bc2515ea2f21",
+}
+
+
+@pytest.mark.parametrize("key", list(PINNED_GEN_RANDOM_DIGESTS),
+                         ids=lambda k: "-".join(map(str, k)))
+def test_gen_random_digest_pinned(key):
+    text = serialize(gen_random(*key))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_GEN_RANDOM_DIGESTS[key]
+
 
 class TestGenNamed:
     def test_path_zipper_contains_fix_subsequence(self):
@@ -86,6 +128,11 @@ class TestGenNamed:
     def test_unknown_pattern(self):
         with pytest.raises(ValueError):
             gen_named("nope", 4, 0)
+
+    @pytest.mark.parametrize("pattern, n", [("path-zipper", 0), ("clique-build-teardown", -1)])
+    def test_empty_vertex_set_rejected(self, pattern, n):
+        with pytest.raises(ValueError, match="vertex count must be >= 1"):
+            gen_named(pattern, n, 0)
 
     @pytest.mark.parametrize("pattern", ["star-churn", "clique-build-teardown", "path-zipper"])
     def test_deterministic(self, pattern):
