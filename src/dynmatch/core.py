@@ -7,10 +7,10 @@ dense list, so membership and size are C-level dict operations.  All
 update-time operations here are O(1), ``get_free`` included.  Update logic
 lives in :mod:`dynmatch.engine`.
 
-A container that holds nothing allocates nothing: an untouched vertex's
-adjacency is the shared :data:`EMPTY_ADJ`, and an empty ownership list or
-free index keeps ``()`` as its dense list and no dict key table.  So a
-fresh state costs two small objects and a few pointers per vertex.
+A container that holds nothing allocates nothing: a vertex with no edge
+has the shared :data:`EMPTY_ADJ` as its adjacency, and an empty ownership
+list or free index keeps ``()`` as its dense list and no dict key table.
+So a fresh state costs two small objects and a few pointers per vertex.
 
 Inputs are validated once, at the update boundary: ``apply_update``,
 ``insert_edge`` and ``delete_edge`` in :mod:`dynmatch.engine` reject bad
@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Hashable
 from dataclasses import dataclass
 
-# Adjacency of every vertex that has never had an edge.  Shared and
-# immutable; ``State.add_edge`` swaps in a real set on the first edge.
+# Adjacency of every vertex with no edge.  Shared and immutable: swapped for
+# a real set by ``State.add_edge`` and back by ``State.remove_edge``.
 EMPTY_ADJ: frozenset[int] = frozenset()
 
 
@@ -80,12 +81,12 @@ class IndexableSet(dict):
     __slots__ = ("_items",)
 
     def __init__(self) -> None:
-        self._items: list[int] | tuple[()] = ()
+        self._items: list[Hashable] | tuple[()] = ()
 
     def __iter__(self):
         return iter(self._items)
 
-    def add(self, x: int) -> None:
+    def add(self, x: Hashable) -> None:
         items = self._items
         if items:
             self[x] = len(items)
@@ -94,7 +95,7 @@ class IndexableSet(dict):
             self[x] = 0
             self._items = [x]
 
-    def remove(self, x: int) -> None:
+    def remove(self, x: Hashable) -> None:
         pos = self.pop(x)
         items = self._items
         last = items.pop()
@@ -105,7 +106,7 @@ class IndexableSet(dict):
             self._items = ()
             self.clear()
 
-    def sample(self, rng: random.Random) -> int:
+    def sample(self, rng: random.Random) -> Hashable:
         return self._items[rng.randrange(len(self))]
 
 
@@ -114,8 +115,9 @@ class FreeNeighborIndex(IndexableSet):
 
     ``insert``, ``delete`` and ``get_free`` are all O(1); ``len`` and
     truthiness answer "how many" and "any" at C level.  ``get_free`` hands
-    back the last member of the dense list, not the lowest id: the analysis
-    only needs *some* free neighbor.
+    back the last member of the dense list other than the one it is told
+    to skip, not the lowest id: the analysis only needs *some* free
+    neighbor.
 
     ``held`` is a per-vertex count shared by every index of one state:
     ``held[u]`` is how many indexes contain u.  It changes only here, so
@@ -154,10 +156,12 @@ class FreeNeighborIndex(IndexableSet):
                 self.clear()
             self.held[u] -= 1
 
-    def get_free(self) -> int | None:
-        """Some member (the last one in the dense list), or None."""
+    def get_free(self, skip: int | None = None) -> int | None:
+        """The last member of the dense list other than ``skip``, or None."""
         items = self._items
-        return items[-1] if items else None
+        if items and items[-1] != skip:
+            return items[-1]
+        return items[-2] if len(items) > 1 else None
 
 
 class State:
@@ -202,12 +206,7 @@ class State:
     # -- adjacency ---------------------------------------------------------
 
     def add_edge(self, u: int, v: int) -> None:
-        """Record edge (u, v); a vertex's first edge replaces EMPTY_ADJ.
-
-        A set that has emptied since is kept, not swapped back: its hash
-        table's history fixes its iteration order, which the engine's
-        neighborhood scans, and so the ownership layout, depend on.
-        """
+        """Record edge (u, v); a vertex's first edge replaces EMPTY_ADJ."""
         adj = self.adj
         a = adj[u]
         if a is EMPTY_ADJ:
@@ -222,8 +221,14 @@ class State:
         self.edge_count += 1
 
     def remove_edge(self, u: int, v: int) -> None:
-        self.adj[u].remove(v)
-        self.adj[v].remove(u)
+        """Drop edge (u, v); a vertex's last edge restores EMPTY_ADJ."""
+        adj = self.adj
+        adj[u].remove(v)
+        adj[v].remove(u)
+        if not adj[u]:
+            adj[u] = EMPTY_ADJ
+        if not adj[v]:
+            adj[v] = EMPTY_ADJ
         self.edge_count -= 1
 
     # -- ownership ---------------------------------------------------------

@@ -10,10 +10,11 @@ the structure's working rules before returning:
   4.  matched partners share a level;
   5.  no length-3 augmenting path survives.
 
-The repair procedures come in deterministic/randomized pairs.  The boolean
-argument called ``flag`` selects the deterministic variant (1) once a
-randomized settle has already run in the current update, keeping the number
-of procedure calls per update bounded by a constant.
+The repair procedures come in deterministic/randomized pairs.  ``flag`` is
+1 only for a vertex that a randomized repair displaced, and makes its naive
+settle raise and exchange paths deterministically.  Every other settle, both
+endpoints of a deleted matched edge included, has flag 0, so one deletion
+may run :func:`random_settle_augmented` once per endpoint.
 
 A procedure that displaces a vertex settles it before returning.  The
 vertex is settled by its level (:func:`handle_delete_level1` at level 1,
@@ -93,17 +94,10 @@ def _unmatch(state, u, v):
 def check_3_aug_path(state: State, u: int, v: int) -> int | None:
     """Free endpoint of a length-3 augmenting path u-v-mate(v)-z, if any.
 
-    Temporarily hides u from mate(v)'s free-neighbor index so the probe
-    cannot answer with u itself, then restores it.  ``v`` must be matched.
-    Never modifies the matching; O(1).
+    Reads a free neighbor of mate(v) other than u; ``v`` must be matched.
+    Writes nothing; O(1).
     """
-    fy = state.free_index[state.mate[v]]
-    if u in fy:
-        fy.delete(u)
-        z = fy.get_free()
-        fy.insert(u)
-        return z
-    return fy.get_free()
+    return state.free_index[state.mate[v]].get_free(u)
 
 
 def _note_level1(state: State, x: int, w: int) -> None:
@@ -228,7 +222,7 @@ def naive_settle_augmented(state: State, u: int, flag: int) -> None:
             delete_from_f_list(state, u)
             delete_from_f_list(state, w)
     else:
-        for x in sorted(adj[u]):
+        for x in adj[u]:
             if mate[x] is None:
                 continue
             z = check_3_aug_path(state, u, x)
@@ -350,9 +344,9 @@ def fix_3_aug_path_d(state: State, u: int, v: int, y: int, z: int) -> None:
 def fix_3_aug_path(state: State, u: int, v: int, y: int, z: int) -> None:
     """Exchange the augmenting path u-v-y-z, then restore levels case-wise.
 
-    Same entry contract as :func:`fix_3_aug_path_d`, but reached before any
-    randomized settle has run this update, so over-degree endpoints are
-    raised through the randomized path.
+    Same entry contract as :func:`fix_3_aug_path_d`, but reached with flag
+    0 (see the module docstring), so over-degree endpoints are raised
+    through the randomized path.
     """
     state.trace.append(("fix_3_aug_path", u, v, y, z))
     mate = state.mate

@@ -1,19 +1,20 @@
 """The traced benchmark run (``perfbench/run.py --trace 1``) wraps engine and
 core functions looked up by name and drives the metrics classes by name, so
 renaming one would break it without any test of the package failing.  These
-tests read its name lists and check that every name still resolves, and
-drive its metrics hooks over a short sequence; nothing under ``perfbench/``
-is written.
+tests read its name lists and check that every name still resolves, drive
+its metrics hooks over a short sequence and run one traced pass; nothing
+under ``perfbench/`` is written.
 """
 
 import dataclasses
 import json
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
 
-from dynmatch import Config, State, core, engine, gen_random, metrics
+from dynmatch import Config, State, core, engine, gen_random, metrics, replay
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -90,3 +91,18 @@ def test_traced_run_drives_the_metrics_classes(tracing):
     assert len(metrics.export(stats, "csv").splitlines()) == len(seq.ops) + 1
     assert stats.final_matching_size == state.matching_size
     assert stats.tracker.live_count == state.matching_size
+
+
+def test_traced_pass_runs_the_wrapped_probes(tracing):
+    """A traced pass at the default threshold runs the wrappers around
+    check_3_aug_path and get_free, and the wrapped engine makes the same
+    procedure calls as an unwrapped replay of the same sequence."""
+    seq = gen_random(32, 800, 0.6, 1)
+    times = array("q", bytes(8 * len(seq.ops)))
+    res, _, layer = tracing.traced_pass(seq, 1, times)
+    assert res.error is None and not res.failed
+    assert layer["engine.check_3_aug_path.calls"] > 0
+    assert layer["core.get_free.calls"] > 0
+    assert res.procedures["random_settle_augmented"] > 0
+    plain = replay(State(Config(n=seq.n, seed=1)), seq.ops)
+    assert res.procedures == plain.procedures

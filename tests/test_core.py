@@ -95,8 +95,10 @@ class TestEmptyContainers:
             assert s.owners[v]._items == () and s.free_index[v]._items == ()
             assert sys.getsizeof(s.owners[v]) == fresh_owners
             assert sys.getsizeof(s.free_index[v]) == fresh_index
-            # an emptied adjacency set is kept: its table fixes scan order
-            assert type(s.adj[v]) is set and not s.adj[v]
+            # the last edge's removal puts the shared sentinel back
+            assert s.adj[v] is EMPTY_ADJ
+        insert_edge(s, 0, 2)
+        assert s.adj[0] == {2} and s.adj[1] is EMPTY_ADJ
 
 
 class TestFreeNeighborIndex:
@@ -115,6 +117,25 @@ class TestFreeNeighborIndex:
         fni.delete(fni.get_free())
         assert fni.get_free() is None
         assert not fni
+
+    @pytest.mark.parametrize(
+        "members, skip, expected",
+        [
+            ((4, 6), 1, 6),  # skip absent
+            ((4,), 4, None),  # skip the only member
+            ((4, 6), 6, 4),  # skip last of two
+            ((2, 4, 6), 4, 6),  # skip not last
+        ],
+    )
+    def test_get_free_skip(self, members, skip, expected):
+        held = [0] * 8
+        fni = FreeNeighborIndex(held)
+        for x in members:
+            fni.insert(x)
+        assert fni.get_free(skip) == expected
+        # a read: the dense list and the held counts stay as they were
+        assert list(fni) == list(members)
+        assert held == [int(x in members) for x in range(8)]
 
     def test_insert_idempotent(self):
         held = [0] * 8
@@ -180,6 +201,10 @@ class TestFreeNeighborIndex:
             else:
                 assert fni.get_free() is None
                 assert fni._items == ()
+            if ref - {u}:
+                assert fni.get_free(u) in ref - {u}
+            else:
+                assert fni.get_free(u) is None
             assert held[u] == sum(u in r for r in reference)
         for u in range(n):
             assert held[u] == sum(u in ref for ref in reference)

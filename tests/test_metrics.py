@@ -218,11 +218,11 @@ class TestExport:
 # threshold); every run uses seed 7 and ends with a teardown.
 PINNED_EXPORT_DIGESTS = {
     ("random", 16, 2):
-        "ed05a610a173da5e9aa7522886a90363d0df220c4b14218d3f9cf2a55e9b3b7c",
+        "5e33df3f72ed1261da8a3842688a26542fe846097a18954e0e111c6eb2adeea6",
     ("random", 64, None):
-        "026ba7e94504871ac7f6a9beb6b542bad6a37a8d4a9ff5a1304941276780016f",
+        "2d79633d26e20d209b2501d4fa353b93b4385a5bce526b90d5d3932cc8b812fe",
     ("random", 40, 3):
-        "d1960f494f1d6a754d2975c87061975223a59db83aae3c48fa34aa0e3f80ac81",
+        "9f591c1929658cc911415d7731dbb26af6b1c9871b16faf0294cc072c2c589f0",
     ("star-churn", 64, None):
         "a6e6ad2bfcb3be2063512fc38c43905cdd7fce7338a35d63bc4d82524370d5a4",
     ("path-zipper", 64, None):
