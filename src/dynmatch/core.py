@@ -114,14 +114,16 @@ class FreeNeighborIndex(IndexableSet):
     """Free-neighbor index F(v) for one vertex: a dense swap-remove set.
 
     ``insert``, ``delete`` and ``get_free`` are all O(1); ``len`` and
-    truthiness answer "how many" and "any" at C level.  ``get_free`` hands
-    back the last member of the dense list other than the one it is told
-    to skip, not the lowest id: the analysis only needs *some* free
-    neighbor.
+    truthiness answer "how many" and "any" at C level.  ``insert`` takes an
+    absent member and is not checked; ``delete`` takes a present one and
+    raises ``KeyError`` otherwise.  ``get_free`` hands back the last member
+    of the dense list other than the one it is told to skip: the analysis
+    only needs *some* free neighbor.
 
     ``held`` is a per-vertex count shared by every index of one state:
-    ``held[u]`` is how many indexes contain u.  It changes only here, so
-    callers can skip a neighborhood scan for a vertex no index holds.
+    ``held[u]`` is how many indexes contain u, 0 or u's degree, since the
+    engine indexes a vertex in all its neighbors or in none.  It changes
+    only here, so callers can skip a scan for a vertex no index holds.
     """
 
     __slots__ = ("held",)
@@ -131,30 +133,28 @@ class FreeNeighborIndex(IndexableSet):
         self.held = held
 
     def insert(self, u: int) -> None:
-        """Add u; inserting a present member is a no-op."""
-        if u not in self:
-            items = self._items
-            if items:
-                self[u] = len(items)
-                items.append(u)
-            else:
-                self[u] = 0
-                self._items = [u]
-            self.held[u] += 1
+        """Add u, which must be absent."""
+        items = self._items
+        if items:
+            self[u] = len(items)
+            items.append(u)
+        else:
+            self[u] = 0
+            self._items = [u]
+        self.held[u] += 1
 
     def delete(self, u: int) -> None:
-        """Remove u; deleting an absent member is a no-op."""
-        pos = self.pop(u, None)
-        if pos is not None:
-            items = self._items
-            last = items.pop()
-            if last != u:
-                items[pos] = last
-                self[last] = pos
-            elif not items:
-                self._items = ()
-                self.clear()
-            self.held[u] -= 1
+        """Remove u, which must be present."""
+        pos = self.pop(u)
+        items = self._items
+        last = items.pop()
+        if last != u:
+            items[pos] = last
+            self[last] = pos
+        elif not items:
+            self._items = ()
+            self.clear()
+        self.held[u] -= 1
 
     def get_free(self, skip: int | None = None) -> int | None:
         """The last member of the dense list other than ``skip``, or None."""
@@ -243,6 +243,3 @@ class State:
     def own_sample_uniform(self, owner: int) -> int:
         """Other endpoint of an edge drawn uniformly from owner's list."""
         return self.owners[owner].sample(self.rng)
-
-    def matched_edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u, v in enumerate(self.mate) if v is not None and u < v]

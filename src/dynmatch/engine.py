@@ -34,6 +34,10 @@ Below them nothing is re-checked: the procedures, the macros and the
 ``_unmatch`` are the only writers of the matching and the only emitters of
 the observer's epoch events (a level raise restarts an epoch by unmatching
 and matching the pair again).  The verifier is the safety net.
+
+Matched means unindexed: ``_match`` takes both endpoints out of every free
+index.  A vertex is indexed only as the free endpoint of a new edge or by a
+naive settle that finds no match and no path, so no index call is a no-op.
 """
 
 from __future__ import annotations
@@ -56,8 +60,11 @@ def _match(state, u, v, creator, *, init=None):
     """Match u and v, plus the epoch-creation event for the metrics observer.
 
     ``init`` is the snapshot of u's owned edges that a random settle takes:
-    the epoch is random, and owned by u, exactly when it is given.
+    the epoch is random, and owned by u, exactly when it is given.  Both
+    endpoints leave the free indexes first.
     """
+    delete_from_f_list(state, u)
+    delete_from_f_list(state, v)
     mate = state.mate
     mate[u] = v
     mate[v] = u
@@ -166,7 +173,7 @@ def insert_to_f_list(state: State, u: int) -> None:
 
 
 def delete_from_f_list(state: State, u: int) -> None:
-    """Erase u from every neighbor's free index.
+    """Erase u from every neighbor's free index; ``_match`` is the caller.
 
     Returns at once when no index holds u, so a call for a vertex that was
     not free costs O(1) rather than its degree.
@@ -202,8 +209,9 @@ def naive_settle_augmented(state: State, u: int, flag: int) -> None:
     whichever endpoint then exceeds the degree cutoff (deterministically
     when ``flag`` is set, randomly otherwise).  With no free neighbor, u
     scans its neighborhood for a length-3 augmenting path and fixes the
-    first one found; if u stays free it is recorded in its neighbors' free
-    indexes.
+    first one found.  Only when no path is found is u recorded in its
+    neighbors' free indexes: a fix that leaves u free has displaced it,
+    and whoever displaced it has settled it.
     """
     state.trace.append(("naive_settle_augmented", u, flag))
     mate = state.mate
@@ -213,14 +221,11 @@ def naive_settle_augmented(state: State, u: int, flag: int) -> None:
     if w is not None:
         _match(state, u, w, "naive_settle_augmented")
         p = u if len(adj[u]) >= threshold else w
-        over = len(adj[p]) >= threshold
-        if over and not flag:
-            randomised_raise_level_to_1(state, p)
-        else:
-            if over:
+        if len(adj[p]) >= threshold:
+            if flag:
                 deterministic_raise_level_to_1(state, p)
-            delete_from_f_list(state, u)
-            delete_from_f_list(state, w)
+            else:
+                randomised_raise_level_to_1(state, p)
     else:
         for x in adj[u]:
             if mate[x] is None:
@@ -232,7 +237,7 @@ def naive_settle_augmented(state: State, u: int, flag: int) -> None:
                 else:
                     fix_3_aug_path(state, u, x, mate[x], z)
                 break
-        if mate[u] is None:
+        else:
             insert_to_f_list(state, u)
 
 
@@ -262,8 +267,6 @@ def random_settle_augmented(state: State, u: int) -> None:
     level[u] = 1
     level[y] = 1
     _match(state, u, y, "random_settle_augmented", init=init)
-    delete_from_f_list(state, u)
-    delete_from_f_list(state, y)
     w = state.free_index[u].get_free()
     if w is not None:
         z = check_3_aug_path(state, w, u)
@@ -326,9 +329,8 @@ def fix_3_aug_path_d(state: State, u: int, v: int, y: int, z: int) -> None:
     """
     state.trace.append(("fix_3_aug_path_d", u, v, y, z))
     level = state.level
-    for p in (u, z):
-        transfer_ownership_to(state, p)
-        delete_from_f_list(state, p)
+    transfer_ownership_to(state, u)
+    transfer_ownership_to(state, z)
     if level[v] == 0:
         transfer_ownership_to(state, v)
         transfer_ownership_to(state, y)
@@ -356,10 +358,6 @@ def fix_3_aug_path(state: State, u: int, v: int, y: int, z: int) -> None:
     _unmatch(state, v, y)
     _match(state, u, v, "fix_3_aug_path")
     _match(state, y, z, "fix_3_aug_path")
-    # u and z are matched now; erase them from the free indexes before any
-    # nested call can probe those indexes and treat them as free.
-    delete_from_f_list(state, u)
-    delete_from_f_list(state, z)
     if level[v] == 1:
         # q is the endpoint over the cutoff, if either is; p rises in place
         p, q = (z, u) if len(adj[u]) >= threshold else (u, z)
@@ -441,9 +439,6 @@ def handle_insert_level0(state: State, u: int, v: int) -> None:
                 fix_3_aug_path(state, q, p, mate[p], z)
         elif len(adj[q]) >= threshold:
             randomised_raise_level_to_1(state, q)
-        if both_free and len(adj[u]) < threshold and len(adj[v]) < threshold:
-            delete_from_f_list(state, u)
-            delete_from_f_list(state, v)
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +451,8 @@ def insert_edge(state: State, u: int, v: int) -> list[tuple]:
 
     Rejects self-loops and already-present edges.  A free endpoint is
     recorded in the other endpoint's free index up front so the repair
-    procedures see the new adjacency; whatever is still free at the end
-    stays correctly indexed.
+    procedures see the new adjacency; a repair that matches it takes it out
+    of every index in ``_match``.
     """
     state.check_vertex(u)
     state.check_vertex(v)
@@ -503,10 +498,10 @@ def insert_edge(state: State, u: int, v: int) -> list[tuple]:
 def delete_edge(state: State, u: int, v: int) -> list[tuple]:
     """Delete edge (u, v) and restore every working rule.
 
-    Drops the edge from the adjacency, its owner's list, and both
-    free-index cross references.  Deleting an unmatched edge makes no
-    procedure calls; a matched edge dissolves and both endpoints are
-    re-settled according to their level.
+    Drops the edge from the adjacency, its owner's list, and the free
+    endpoint, if any, from the other endpoint's free index.  Deleting an
+    unmatched edge makes no procedure calls; a matched edge dissolves and
+    both endpoints are re-settled according to their level.
     """
     state.check_vertex(u)
     state.check_vertex(v)
@@ -522,9 +517,11 @@ def delete_edge(state: State, u: int, v: int) -> list[tuple]:
         state.own_remove(u, v)
     else:
         state.own_remove(v, u)
-    state.free_index[u].delete(v)
-    state.free_index[v].delete(u)
     mate = state.mate
+    if mate[v] is None:
+        state.free_index[u].delete(v)
+    if mate[u] is None:
+        state.free_index[v].delete(u)
     was_matched = mate[u] == v
     if was_matched:
         _unmatch(state, u, v)

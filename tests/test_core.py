@@ -137,19 +137,22 @@ class TestFreeNeighborIndex:
         assert list(fni) == list(members)
         assert held == [int(x in members) for x in range(8)]
 
-    def test_insert_idempotent(self):
+    def test_delete_absent_raises(self):
         held = [0] * 8
         fni = FreeNeighborIndex(held)
-        fni.insert(5)
         fni.insert(5)
         assert len(fni) == 1
         assert held[5] == 1
         fni.delete(5)
         assert len(fni) == 0
         assert held[5] == 0
-        fni.delete(5)
-        assert len(fni) == 0
-        assert held[5] == 0
+        # every call does work: a second delete finds nothing and raises,
+        # leaving the index and the held count as they were
+        with pytest.raises(KeyError):
+            fni.delete(5)
+        with pytest.raises(KeyError):
+            fni.delete(3)
+        assert fni._items == () and held == [0] * 8
 
     def test_total_and_has_free_exact(self):
         s = make_state(9)
@@ -185,13 +188,18 @@ class TestFreeNeighborIndex:
         indexes = [FreeNeighborIndex(held) for _ in range(4)]
         reference = [set() for _ in indexes]
         for i, insert, u in ops:
-            if insert:
-                indexes[i].insert(u)
-                reference[i].add(u)
-            else:
-                indexes[i].delete(u)
-                reference[i].discard(u)
             fni, ref = indexes[i], reference[i]
+            # the exact contract: insert an absent member, delete a present
+            # one; a delete of an absent member raises and changes nothing
+            if insert and u not in ref:
+                fni.insert(u)
+                ref.add(u)
+            elif not insert and u in ref:
+                fni.delete(u)
+                ref.remove(u)
+            elif not insert:
+                with pytest.raises(KeyError):
+                    fni.delete(u)
             assert set(fni) == ref
             assert len(fni) == len(fni._items) == len(ref)
             assert bool(fni) == bool(ref)

@@ -59,6 +59,10 @@ def match(s, u, v):
     eng._match(s, u, v, "test")
 
 
+def matched_edges(s):
+    return [(u, v) for u, v in enumerate(s.mate) if v is not None and u < v]
+
+
 def matched_path_0123(threshold=None):
     """Path 0-1-2-3 with (1, 2) matched at level 0 and 0, 3 free."""
     s = make_state(4, threshold=threshold)
@@ -222,7 +226,7 @@ class TestNaiveSettle:
     def test_settles_along_augmenting_path(self):
         s = matched_path_0123(threshold=3)
         naive_settle_augmented(s, 3, 0)
-        assert s.matched_edges() == [(0, 1), (2, 3)]
+        assert matched_edges(s) == [(0, 1), (2, 3)]
         assert check_invariants(s).ok
 
     def test_no_path_inserts_into_f_lists(self):
@@ -268,19 +272,33 @@ class TestRandomSettle:
             mates.append(s.mate[0])
         assert mates[0] == mates[1]
 
-    def test_probe_retries_near_side_when_far_side_is_taken(self):
-        # free neighbors of u=2: {1, 4}; the lowest one (1) is also the only
-        # free neighbor of the new mate y=3.  The surviving path 4-2-3-1 must
-        # still be found and exchanged.
+    def test_probe_retries_near_side_when_far_side_is_taken(self, monkeypatch):
+        # u=2 picks y=3, its only owned edge.  Once the pair leaves the
+        # indexes, F(2) reads [4, 1] and get_free hands back the last member,
+        # 1, which is also the only free neighbor of y.  The far-side probe
+        # 1-2-3-? fails, so the near side is retried: the surviving path
+        # 4-2-3-1 must still be found and exchanged.
         s = make_state(5, threshold=1, seed=0)
         add_owned(s, 2, 3)
         add_owned(s, 1, 2)
         add_owned(s, 3, 1)
         add_owned(s, 4, 2)
-        for free, of in ((1, 2), (1, 3), (4, 2), (3, 2), (2, 1), (2, 3), (2, 4)):
+        # every free vertex in every neighbor's index, F(2) in order 4, 3, 1
+        for free, of in ((4, 2), (3, 2), (1, 2), (1, 3), (2, 1), (3, 1), (2, 3), (2, 4)):
             s.free_index[of].insert(free)
+        probes = []
+        probe = eng.check_3_aug_path
+
+        def recorded(state, u, v):
+            z = probe(state, u, v)
+            probes.append((u, v, z))
+            return z
+
+        monkeypatch.setattr(eng, "check_3_aug_path", recorded)
         random_settle_augmented(s, 2)
-        assert all(s.mate[v] is not None for v in (1, 2, 3, 4))
+        assert probes == [(1, 2, None), (1, 3, 4)]
+        assert ("fix_3_aug_path_d", 4, 2, 3, 1) in s.trace
+        assert matched_edges(s) == [(1, 3), (2, 4)]
         assert find_3_aug_path(s.adj, s.mate) is None
         assert check_invariants(s).ok
 
@@ -366,7 +384,7 @@ class TestFix3AugPathD:
     def test_level1_input_swaps_matching(self):
         s = path_for_fix(level_v=1)
         fix_3_aug_path_d(s, 0, 1, 2, 3)
-        assert s.matched_edges() == [(0, 1), (2, 3)]
+        assert matched_edges(s) == [(0, 1), (2, 3)]
         assert [s.level[v] for v in range(4)] == [1, 1, 1, 1]
         assert check_invariants(s).ok
 
@@ -388,7 +406,7 @@ class TestFix3AugPath:
     def test_level0_small_degrees_stays_level0(self):
         s = path_for_fix(level_v=0, threshold=3)
         fix_3_aug_path(s, 0, 1, 2, 3)
-        assert s.matched_edges() == [(0, 1), (2, 3)]
+        assert matched_edges(s) == [(0, 1), (2, 3)]
         assert [s.level[v] for v in range(4)] == [0, 0, 0, 0]
         assert all(not f for f in s.free_index)
         assert check_invariants(s).ok
@@ -396,7 +414,7 @@ class TestFix3AugPath:
     def test_level1_small_degrees_raises_endpoints(self):
         s = path_for_fix(level_v=1, threshold=3)
         fix_3_aug_path(s, 0, 1, 2, 3)
-        assert s.matched_edges() == [(0, 1), (2, 3)]
+        assert matched_edges(s) == [(0, 1), (2, 3)]
         assert [s.level[v] for v in range(4)] == [1, 1, 1, 1]
         assert check_invariants(s).ok
 
@@ -447,7 +465,7 @@ class TestInsert:
     def test_first_edge_matches_level0(self):
         s = make_state(4)
         insert_edge(s, 0, 1)
-        assert s.matched_edges() == [(0, 1)]
+        assert matched_edges(s) == [(0, 1)]
         assert s.level[0] == s.level[1] == 0
         assert check_invariants(s).ok
 
@@ -456,7 +474,7 @@ class TestInsert:
         insert_edge(s, 1, 2)
         insert_edge(s, 0, 1)
         trace = insert_edge(s, 2, 3)
-        assert s.matched_edges() == [(0, 1), (2, 3)]
+        assert matched_edges(s) == [(0, 1), (2, 3)]
         assert "fix_3_aug_path" in [c[0] for c in trace]
         assert check_invariants(s).ok
 
@@ -518,10 +536,10 @@ class TestDelete:
         insert_edge(s, 0, 1)
         insert_edge(s, 2, 3)
         insert_edge(s, 0, 2)  # unmatched edge between two matched pairs
-        before = s.matched_edges()
+        before = matched_edges(s)
         trace = delete_edge(s, 0, 2)
         assert len(trace) == 0
-        assert s.matched_edges() == before
+        assert matched_edges(s) == before
         assert check_invariants(s).ok
 
     def test_delete_level1_edge_rematches_big_endpoint(self):
@@ -641,10 +659,28 @@ def test_rejected_update_leaves_state_unchanged(seed):
     replay(s, gen_random(n, 60, 0.6, seed=seed).ops, on_update=probe_rejections)
 
 
+class UnindexedOnMatch:
+    """An observer that checks, as each pair is matched, that neither
+    endpoint sits in any free index."""
+
+    def __init__(self, state):
+        self.held = state.held
+
+    def on_match_set(self, index, edge, level, cls, *, creator, owner, owned_init):
+        u, v = edge
+        assert self.held[u] == self.held[v] == 0, (index, edge, creator)
+
+    def _ignore(self, *args):
+        pass
+
+    on_update_begin = on_update_end = on_match_unset = on_edge_deleted = _ignore
+
+
 class UpdateMachine(RuleBasedStateMachine):
     """Any interleaving of inserts, deletes and rejected updates keeps the
-    state clean, leaves a rejected update's state untouched, and keeps
-    every empty container in its allocation-free form."""
+    state clean, leaves a rejected update's state untouched, keeps every
+    empty container in its allocation-free form, and matches only vertices
+    that no free index holds."""
 
     EMPTY_SIZES = {
         IndexableSet: sys.getsizeof(IndexableSet()),
@@ -658,6 +694,7 @@ class UpdateMachine(RuleBasedStateMachine):
     )
     def build(self, n, threshold, seed):
         self.s = State(Config(n=n, threshold=threshold, seed=seed))
+        self.s.observer = UnindexedOnMatch(self.s)
 
     def _edges(self, present):
         s = self.s
@@ -781,14 +818,14 @@ def test_random_settle_records_its_raised_picker():
 # update the constants and say why.  A key is (generator, seed, threshold),
 # plus n where it is not 64.
 PINNED_DIGESTS = {
-    ("random", 0, None): "5107622b8346f86dd4a9c95e976b3d1b1f61b4ed393ec1224dbbf26854fc0118",
-    ("random", 0, 3): "85be2206666c2b73cc53912ded7ce10f49c15dcc5c6d57288604a7a689c02789",
-    ("random", 1, None): "26dffdd4a961749c7c674e61a9d53beac8c7103267bf124aa09bca950ffe2a62",
-    ("random", 1, 3): "4600bcdba7fc50f46766aa65f0d9fb27552826092dae6b4e82862b9fbacb49a8",
+    ("random", 0, None): "136aa407fb1beb83a2cbaf4ee65c725af17791e930a19b3f854adb3101e83a31",
+    ("random", 0, 3): "345d75fcd9b1dd1c7925d97655634e52e816957ab2bda4ac56d6a3b1d2d2b876",
+    ("random", 1, None): "fdf1ade4b4113d6c8f8cb0e93905bca36977b7563367a6a7bc5da143ee2321db",
+    ("random", 1, 3): "c2520d7c04c26534040e3e2c413df7904310ef3beedc5fdef0912affe0c1b926",
     ("random", 2, None): "1cc648ecddecd5e44362b03adff906131d18ab3c0068a8df4f83c5fc6e447274",
-    ("random", 2, 3): "63f29f368ab1d33ddc19829c5dd749eab3d4db784a4864dc2d54578a89397ef2",
+    ("random", 2, 3): "1aa187b7388cc2bc91ae0c061dd31ac75ed59092cee82c262c7f6085a8c029b6",
     ("star-churn", 0, None): "0b6a36deef8d82f8b5fe00741cbfbd89255f720320fc554a1e1702b4d0d1836a",
-    ("star-churn", 0, 3): "95d7170fcf4ec12d138bb74387d901394ba1bff668e172e9da134f11be227b50",
+    ("star-churn", 0, 3): "2262c3c63fcda80f37b23ffe9c36acd0df17c8739cdb3d8d60a4dffcb073581b",
     # the hub re-rises after most drops here, so its level-1 target set
     # serves most of its ownership hand-overs
     ("star-churn", 0, None, 256): "bd2c47c983d258bebfaff8656f1678f4b2c45d515060536e21e80a83544ebcc1",
@@ -801,12 +838,12 @@ PINNED_DIGESTS = {
 # PINNED_DIGESTS key.  These pin the states alone: a change that only drops
 # or reorders procedure calls must leave them as they are.
 PINNED_STATE_DIGESTS = {
-    ("random", 0, None): "33da05cc7ef68e1321790239053563b9ce80e863f7c6dba7ccd4ff7282f7a143",
-    ("random", 0, 3): "1e131d4b25f657a627eff69a70404cb272a1a6bc78af943263fd0c72f1defbb8",
-    ("random", 1, None): "638b7f3ac14182954870c4af892468fe0ccc1fda652073e76dbbd9879dda0ad6",
-    ("random", 1, 3): "64a4f0be201d43b1cc4d049ab2332fdb76c284cc43f074d861c34ba96b7145db",
+    ("random", 0, None): "58d8a1dfe27846f3476c7b9fcc17c2f408f4ab4db501c08a2f26151bcb67a20e",
+    ("random", 0, 3): "f736aa292cee358f522e70413e5bbded35acfb8b82a0cbe06664c7c7d809f278",
+    ("random", 1, None): "51e382e5a1fdb430bcbef6fa46b1c987659992fbe66ca4b80458173e95dbbafb",
+    ("random", 1, 3): "314f01313b87f4d18868c79bb71a8de72e78a1995737efcd106d0ff8e6f859d7",
     ("random", 2, None): "9b4a9f2b9367e33e5107e8aeb1c4bdf77c5a164e364d5562ebaa2def7073a254",
-    ("random", 2, 3): "29e24edf764fa3fab2002020cbfb919e999963a4932e06200e1e80b666472c55",
+    ("random", 2, 3): "dd1806a1f70e216afc05b4f34f7d0161a692c901765df3b35dc24ca58b9e4a7f",
     ("star-churn", 0, None): "b1be923860bce02dbe0f7d179e7e9fb05c7d8aa917be23ff0a96187e7fcbbd3e",
     ("star-churn", 0, 3): "44f787be552e241f33c16ff5c5d36863db6ea4e258167e3a5ce0b4f63322096e",
     ("star-churn", 0, None, 256): "f01091b756bbb083ba56fb1a94050eb6d2708562787831a8321eeb83692020dc",
@@ -818,14 +855,14 @@ PINNED_STATE_DIGESTS = {
 # PINNED_DIGESTS key.  These pin the epoch stream the metrics see: a change
 # to how an event is produced must leave them as they are.
 PINNED_EVENT_DIGESTS = {
-    ("random", 0, None): "5e9bfb69f5520dba58eeb67af0aaafad0894c17ca25dd0032411d342ed09aaf8",
-    ("random", 0, 3): "28561bd7be0830480255682cc6573b2a1ec07e185ea4e33c11662e6b454c60cb",
-    ("random", 1, None): "42b4fbfe79a22045a2cea7d4bf564e869e9dc563ffcd7ee575d1ed2edea62063",
-    ("random", 1, 3): "22820c62898fa7a99403bb4c44145d09862c4cc5bacc144fea0273d471df7b6d",
+    ("random", 0, None): "1daac2639b3eaf5e614a4ac21ff9899a58363d4a768caf8d5c2b26ba2ea59f1f",
+    ("random", 0, 3): "a90e1c9b310b6a7e2d89c153ad0f409f8a277d24b66d415634a8e4a9b288d32e",
+    ("random", 1, None): "c1bdc19c528bb217d9f5b8ce692aee4a01a11f1ddce7c553a1dc73663f81b466",
+    ("random", 1, 3): "e9689a078b1aa7e2e053c7f51da098a7f129a4124b6f85b6426fbb051da14ef2",
     ("random", 2, None): "700966e4cb966a3e14b658d48814623af06cb8a31a5f58e8df8bb2b3a4b44d11",
-    ("random", 2, 3): "a0aa0025522aa323a72dbce4d3250d09fdd17c643bffc27eba605211f9baad96",
+    ("random", 2, 3): "b1a8f8a30d781a9b4e096a08d5d28817026f2250d6dc2a37089163e1428eeb4b",
     ("star-churn", 0, None): "211f81f3bd50fa0caba061b79cc0e4748296fd2d3029a7f83f0d4b0549006676",
-    ("star-churn", 0, 3): "03e80a225750c8ff26681b52847b061cea5848b26a9e790083f99d5dd6a001b9",
+    ("star-churn", 0, 3): "e70bdd118491a33d597e4956cad5a53f1465fe33b8b0276029748e7fdff69c37",
     ("star-churn", 0, None, 256): "327ea8edd105f64b7c0e55561cf087f3299ad5c4d4b9262848d662d6379ebd1b",
     ("random", 0, None, 4096, 8192): "95a790a98becc9d89a63c73e74849b625e31cc4eb233aecf805c6214f5e4a732",
 }
@@ -915,6 +952,39 @@ def test_state_digest_pinned(key):
 @pytest.mark.parametrize("key", sorted(PINNED_DIGESTS, key=repr), ids=_pinned_id)
 def test_event_digest_pinned(key):
     assert _event_digest(key) == PINNED_EVENT_DIGESTS[key]
+
+
+# Every pinned key, plus the named patterns the pins leave out.
+EXACT_INDEX_KEYS = sorted(PINNED_DIGESTS, key=repr) + [
+    (pattern, 0, threshold)
+    for pattern in ("clique-build-teardown", "path-zipper")
+    for threshold in (None, 3)
+]
+
+
+@pytest.mark.parametrize("key", EXACT_INDEX_KEYS, ids=_pinned_id)
+def test_every_free_index_call_does_work(key, monkeypatch):
+    """The engine inserts into a free index only members it lacks and
+    deletes only members it holds: no index call is a no-op."""
+    calls = {"insert": 0, "delete": 0}
+    insert, delete = FreeNeighborIndex.insert, FreeNeighborIndex.delete
+
+    def exact_insert(fi, u):
+        assert u not in fi, u
+        calls["insert"] += 1
+        insert(fi, u)
+
+    def exact_delete(fi, u):
+        assert u in fi, u
+        calls["delete"] += 1
+        delete(fi, u)
+
+    monkeypatch.setattr(FreeNeighborIndex, "insert", exact_insert)
+    monkeypatch.setattr(FreeNeighborIndex, "delete", exact_delete)
+    s, ops = _pinned_run(key)
+    result = replay(s, ops, verify_every=len(ops))
+    assert result.report is None, result.report.to_text()
+    assert calls["insert"] and calls["delete"]
 
 
 def test_hub_transfers_served_from_target_set(monkeypatch):

@@ -218,11 +218,11 @@ class TestExport:
 # threshold); every run uses seed 7 and ends with a teardown.
 PINNED_EXPORT_DIGESTS = {
     ("random", 16, 2):
-        "5e33df3f72ed1261da8a3842688a26542fe846097a18954e0e111c6eb2adeea6",
+        "45027ca29f678eeb99c8b303107e4f573b97294efdfce9229952cfd2039789ef",
     ("random", 64, None):
         "2d79633d26e20d209b2501d4fa353b93b4385a5bce526b90d5d3932cc8b812fe",
     ("random", 40, 3):
-        "9f591c1929658cc911415d7731dbb26af6b1c9871b16faf0294cc072c2c589f0",
+        "c8337636c1798fdc20cbf458f1674c6c3be85e37e31b98b1953f73263b6bb1bc",
     ("star-churn", 64, None):
         "a6e6ad2bfcb3be2063512fc38c43905cdd7fce7338a35d63bc4d82524370d5a4",
     ("path-zipper", 64, None):
