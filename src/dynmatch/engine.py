@@ -36,8 +36,11 @@ the observer's epoch events (a level raise restarts an epoch by unmatching
 and matching the pair again).  The verifier is the safety net.
 
 Matched means unindexed: ``_match`` takes both endpoints out of every free
-index.  A vertex is indexed only as the free endpoint of a new edge or by a
-naive settle that finds no match and no path, so no index call is a no-op.
+index.  A vertex is indexed only as the free endpoint of a new edge whose
+other endpoint is matched, or by a naive settle that finds no match and no
+path, so no index call is a no-op.  A new edge between two free vertices
+indexes neither: :func:`insert_edge` unindexes both before the edge joins
+their adjacency, and ``handle_insert_level0`` matches them.
 """
 
 from __future__ import annotations
@@ -61,7 +64,9 @@ def _match(state, u, v, creator, *, init=None):
 
     ``init`` is the snapshot of u's owned edges that a random settle takes:
     the epoch is random, and owned by u, exactly when it is given.  Both
-    endpoints leave the free indexes first.
+    endpoints leave the free indexes first; for a new edge between two free
+    vertices :func:`insert_edge` has already unindexed them, and the two
+    calls return at once.
     """
     delete_from_f_list(state, u)
     delete_from_f_list(state, v)
@@ -173,10 +178,12 @@ def insert_to_f_list(state: State, u: int) -> None:
 
 
 def delete_from_f_list(state: State, u: int) -> None:
-    """Erase u from every neighbor's free index; ``_match`` is the caller.
+    """Erase u from every neighbor's free index.
 
-    Returns at once when no index holds u, so a call for a vertex that was
-    not free costs O(1) rather than its degree.
+    ``_match`` is the caller, and :func:`insert_edge` for the endpoints of a
+    new edge between two free vertices, before the edge is added.  Returns
+    at once when no index holds u, so a call for a vertex that was not free,
+    or has no edge, costs O(1) rather than its degree.
     """
     if not state.held[u]:
         return
@@ -449,10 +456,12 @@ def handle_insert_level0(state: State, u: int, v: int) -> None:
 def insert_edge(state: State, u: int, v: int) -> list[tuple]:
     """Insert edge (u, v) and restore every working rule.
 
-    Rejects self-loops and already-present edges.  A free endpoint is
-    recorded in the other endpoint's free index up front so the repair
-    procedures see the new adjacency; a repair that matches it takes it out
-    of every index in ``_match``.
+    Rejects self-loops and already-present edges.  A free endpoint whose
+    other endpoint is matched is indexed there before any repair runs, so
+    the repair procedures see the new adjacency; a repair that matches it
+    takes it out of every index in ``_match``.  Two free endpoints are
+    unindexed instead, before the edge joins their adjacency: the repair
+    matches them at once.
     """
     state.check_vertex(u)
     state.check_vertex(v)
@@ -465,13 +474,22 @@ def insert_edge(state: State, u: int, v: int) -> list[tuple]:
     obs = state.observer
     if obs is not None:
         obs.on_update_begin(state.update_index, "+", u, v)
-    state.add_edge(u, v)
     mate = state.mate
-    free_index = state.free_index
     if mate[u] is None:
-        free_index[v].insert(u)
-    if mate[v] is None:
-        free_index[u].insert(v)
+        if mate[v] is None:
+            # Both free, so both at level 0 with no free neighbor: the only
+            # repair is handle_insert_level0's _match(u, v).  Unindex them
+            # now, while the new edge is not yet in either adjacency.
+            delete_from_f_list(state, u)
+            delete_from_f_list(state, v)
+            state.add_edge(u, v)
+        else:
+            state.add_edge(u, v)
+            state.free_index[v].insert(u)
+    else:
+        state.add_edge(u, v)
+        if mate[v] is None:
+            state.free_index[u].insert(v)
     lu, lv = state.level[u], state.level[v]
     if lu == 1 and lv == 1:
         owner, other = (u, v) if u < v else (v, u)

@@ -8,7 +8,6 @@ under ``perfbench/`` is written.
 
 import dataclasses
 import json
-import sys
 from array import array
 from pathlib import Path
 
@@ -20,16 +19,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
-def tracing():
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    dont_write = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    try:
-        from dmbench import tracing
-    finally:
-        sys.dont_write_bytecode = dont_write
-        sys.path.remove(str(ROOT / "perfbench"))
-    return tracing
+def tracing(dmbench):
+    return dmbench.tracing
 
 
 def test_wrapped_macros_are_engine_functions(tracing):

@@ -522,6 +522,68 @@ class TestInsert:
             assert check_invariants(s).ok
 
 
+    def test_insert_between_two_free_vertices_indexes_neither(self, monkeypatch):
+        """4 and 5 are free and indexed at their matched neighbors 1 and 3.
+        Joining them writes no free-index entry, and leaves every dense list
+        as indexing both up front and unindexing them in _match does."""
+        ops = [(0, 1), (1, 4), (1, 6), (1, 7), (2, 3), (3, 5), (4, 5)]
+        s = make_state(8, threshold=8)
+        ref = make_state(8, threshold=8)
+        for u, v in ops[:-1]:
+            insert_edge(s, u, v)
+            insert_indexing_up_front(ref, u, v)
+        assert s.free_index[1]._items == [4, 6, 7]
+        assert s.free_index[3]._items == [5]
+        inserted = []
+        insert = FreeNeighborIndex.insert
+
+        def counted(fi, u):
+            inserted.append(u)
+            insert(fi, u)
+
+        monkeypatch.setattr(FreeNeighborIndex, "insert", counted)
+        insert_edge(s, 4, 5)
+        monkeypatch.undo()
+        insert_indexing_up_front(ref, 4, 5)
+        assert inserted == []
+        assert s.mate[4] == 5
+        assert s.free_index[1]._items == [7, 6]
+        assert [f._items for f in s.free_index] == [f._items for f in ref.free_index]
+        assert s.held == ref.held
+        assert check_invariants(s).ok
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_level0_replay_keeps_up_front_dense_lists(self, seed):
+        """With every vertex held at level 0, each update leaves every dense
+        list and count as indexing both endpoints up front does."""
+        s = make_state(64, threshold=64, seed=seed)
+        ref = make_state(64, threshold=64, seed=seed)
+        for op in gen_random(64, 2000, 0.6, seed).ops:
+            if op.kind == "+":
+                insert_edge(s, op.u, op.v)
+                insert_indexing_up_front(ref, op.u, op.v)
+            else:
+                delete_edge(s, op.u, op.v)
+                delete_edge(ref, op.u, op.v)
+            assert [f._items for f in s.free_index] == [f._items for f in ref.free_index]
+            assert s.held == ref.held and s.mate == ref.mate
+
+
+def insert_indexing_up_front(s, u, v):
+    """A level-0 insert that indexes each free endpoint at the other before
+    any repair, both endpoints of a free pair included, as the engine did
+    before it left such a pair unindexed."""
+    assert s.level[u] == s.level[v] == 0
+    s.update_index += 1
+    s.trace = []
+    s.add_edge(u, v)
+    if s.mate[u] is None:
+        s.free_index[v].insert(u)
+    if s.mate[v] is None:
+        s.free_index[u].insert(v)
+    eng.handle_insert_level0(s, u, v)
+
+
 class TestDelete:
     def test_delete_only_matched_edge(self):
         s = make_state(4)
