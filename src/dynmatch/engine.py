@@ -36,11 +36,12 @@ the observer's epoch events (a level raise restarts an epoch by unmatching
 and matching the pair again).  The verifier is the safety net.
 
 Matched means unindexed: ``_match`` takes both endpoints out of every free
-index.  A vertex is indexed only as the free endpoint of a new edge whose
-other endpoint is matched, or by a naive settle that finds no match and no
-path, so no index call is a no-op.  A new edge between two free vertices
-indexes neither: :func:`insert_edge` unindexes both before the edge joins
-their adjacency, and ``handle_insert_level0`` matches them.
+index, calling ``delete_from_f_list`` only for an endpoint that ``held``
+says is indexed.  A vertex is indexed only as the free endpoint of a new
+edge whose other endpoint is matched, or by a naive settle that finds no
+match and no path, so no index call is a no-op.  A new edge between two
+free vertices indexes neither: :func:`insert_edge` unindexes both before
+the edge joins their adjacency, and ``handle_insert_level0`` matches them.
 """
 
 from __future__ import annotations
@@ -64,12 +65,15 @@ def _match(state, u, v, creator, *, init=None):
 
     ``init`` is the snapshot of u's owned edges that a random settle takes:
     the epoch is random, and owned by u, exactly when it is given.  Both
-    endpoints leave the free indexes first; for a new edge between two free
-    vertices :func:`insert_edge` has already unindexed them, and the two
-    calls return at once.
+    endpoints leave the free indexes first, each only if an index holds it:
+    for a new edge between two free vertices :func:`insert_edge` has
+    already unindexed them.
     """
-    delete_from_f_list(state, u)
-    delete_from_f_list(state, v)
+    held = state.held
+    if held[u]:
+        delete_from_f_list(state, u)
+    if held[v]:
+        delete_from_f_list(state, v)
     mate = state.mate
     mate[u] = v
     mate[v] = u
@@ -178,15 +182,12 @@ def insert_to_f_list(state: State, u: int) -> None:
 
 
 def delete_from_f_list(state: State, u: int) -> None:
-    """Erase u from every neighbor's free index.
+    """Erase u, which every neighbor's free index holds, from each of them.
 
     ``_match`` is the caller, and :func:`insert_edge` for the endpoints of a
-    new edge between two free vertices, before the edge is added.  Returns
-    at once when no index holds u, so a call for a vertex that was not free,
-    or has no edge, costs O(1) rather than its degree.
+    new edge between two free vertices, before the edge is added.  Both
+    test ``state.held[u]`` first, so no call is a no-op.
     """
-    if not state.held[u]:
-        return
     free_index = state.free_index
     for w in state.adj[u]:
         free_index[w].delete(u)
@@ -480,8 +481,11 @@ def insert_edge(state: State, u: int, v: int) -> list[tuple]:
             # Both free, so both at level 0 with no free neighbor: the only
             # repair is handle_insert_level0's _match(u, v).  Unindex them
             # now, while the new edge is not yet in either adjacency.
-            delete_from_f_list(state, u)
-            delete_from_f_list(state, v)
+            held = state.held
+            if held[u]:
+                delete_from_f_list(state, u)
+            if held[v]:
+                delete_from_f_list(state, v)
             state.add_edge(u, v)
         else:
             state.add_edge(u, v)

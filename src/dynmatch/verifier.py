@@ -49,6 +49,32 @@ class ViolationReport:
         return "".join(f"{v}\n" for v in self.violations)
 
 
+def _first_3_aug_path(
+    adj: list[set[int]], mate: list[int | None], free: set[int]
+) -> tuple[int, int, int, int] | None:
+    """First length-3 augmenting path (u, v, y, z), given the free vertices.
+
+    A path u-v-y-z exists exactly when its reverse z-y-v-u does, so each
+    matched pair is visited once, at its lower endpoint; a vertex whose
+    mate does not point back is visited on its own.
+    """
+    for v, y in enumerate(mate):
+        if y is None or (y < v and mate[y] == v):
+            continue
+        av = adj[v]
+        if free.isdisjoint(av):
+            continue
+        ay = adj[y]
+        if free.isdisjoint(ay):
+            continue
+        fy = sorted(ay & free)
+        for u in sorted(av & free):
+            for z in fy:
+                if z != u:
+                    return (u, v, y, z)
+    return None
+
+
 def find_3_aug_path(
     adj: list[set[int]], mate: list[int | None]
 ) -> tuple[int, int, int, int] | None:
@@ -58,28 +84,19 @@ def find_3_aug_path(
     Candidates are visited in ascending (v, y, u, z) order, so the result
     is deterministic for a given graph and matching.
     """
-    free = {u for u, m in enumerate(mate) if m is None}
-    for v, y in enumerate(mate):
-        if y is None:
-            continue
-        fv = adj[v] & free
-        if not fv:
-            continue
-        fy = adj[y] & free
-        if not fy:
-            continue
-        for u in sorted(fv):
-            for z in sorted(fy):
-                if z != u:
-                    return (u, v, y, z)
-    return None
+    return _first_3_aug_path(adj, mate, {u for u, m in enumerate(mate) if m is None})
 
 
 def check_invariants(state: State) -> ViolationReport:
     """Evaluate all ten structural checks; empty report means clean.
 
-    O(n * threshold + m): single passes over vertices, matched pairs,
-    owned-edge entries, and free vertices' neighborhoods.
+    O(n * threshold + m) in one pass over the vertices: each vertex's
+    matching, levels, neighborhood, ownership list, free index and
+    ``held`` count are checked together, and the augmenting-path search
+    reuses the pass's set of free vertices.  ``held[u]`` must be u's
+    degree when u is free and 0 when it is matched.  Set operations are
+    guarded by ``isdisjoint`` or ``<=``, so a set is built only to name a
+    violation.
     """
     n = state.config.n
     threshold = state.threshold
@@ -87,68 +104,95 @@ def check_invariants(state: State) -> ViolationReport:
     mate = state.mate
     level = state.level
     owners = state.owners
+    free_index = state.free_index
     out: list[Violation] = []
     add = out.append
 
     free = {u for u, m in enumerate(mate) if m is None}
-    level1 = {u for u in range(n) if level[u] == 1}
-
-    for u in range(n):
-        v = mate[u]
-        if v is not None:
+    level1 = {u for u, lv in enumerate(level) if lv == 1}
+    total_owned = 0
+    expected_pairs = 0
+    actual_pairs = 0
+    for u, v, lu, nbrs, owned, fi, h in zip(
+        range(n), mate, level, adj, owners, free_index, state.held
+    ):
+        if v is None:
+            if lu != 0:
+                if lu == 1:
+                    add(Violation("1a", (u,), "free vertex at level 1"))
+                add(Violation("1b", (u,), f"free vertex at level {lu}"))
+            if nbrs:
+                if not free.isdisjoint(nbrs):
+                    for w in nbrs & free:
+                        if u < w:
+                            add(Violation("MAX", (u, w), "edge with both endpoints free"))
+                        add(Violation("1b", (u, w), "free vertex with free neighbor"))
+                # Free-neighbor indexes: u is in the index of each neighbor.
+                # With the totals below this makes every F(w) exactly w's
+                # free neighbors, without intersecting every neighborhood.
+                for w in nbrs:
+                    if u not in free_index[w]:
+                        add(Violation("F", (w, u), f"free neighbor {u} missing from index of {w}"))
+                expected_pairs += len(nbrs)
+            if h != len(nbrs):
+                add(Violation("F", (u,), f"held count {h}, free with degree {len(nbrs)}"))
+        else:
             if v == u:
                 add(Violation("SYM", (u,), "vertex matched to itself"))
-                continue
-            if mate[v] != u:
-                add(Violation("SYM", (u, v), f"mate({v}) is {mate[v]}, not {u}"))
-            if v not in adj[u]:
-                add(Violation("SYM", (u, v), "matched pair is not an edge"))
-            if level[u] != level[v]:
-                add(Violation("4", (u, v), f"levels {level[u]} vs {level[v]}"))
-            if level[u] == 0 and len(adj[u]) >= threshold:
-                add(Violation("3", (u,), f"matched at level 0 with degree {len(adj[u])}"))
-        else:
-            if level[u] == 1:
-                add(Violation("1a", (u,), "free vertex at level 1"))
-            if level[u] != 0:
-                add(Violation("1b", (u,), f"free vertex at level {level[u]}"))
-            bad = adj[u] & free
-            for w in bad:
-                if u < w:
-                    add(Violation("MAX", (u, w), "edge with both endpoints free"))
-                add(Violation("1b", (u, w), "free vertex with free neighbor"))
-        if level[u] == 0 and len(owners[u]) >= threshold:
-            add(Violation("2", (u,), f"level-0 vertex owns {len(owners[u])} edges"))
+            else:
+                if mate[v] != u:
+                    add(Violation("SYM", (u, v), f"mate({v}) is {mate[v]}, not {u}"))
+                if v not in nbrs:
+                    add(Violation("SYM", (u, v), "matched pair is not an edge"))
+                if lu != level[v]:
+                    add(Violation("4", (u, v), f"levels {lu} vs {level[v]}"))
+                if lu == 0 and len(nbrs) >= threshold:
+                    add(Violation("3", (u,), f"matched at level 0 with degree {len(nbrs)}"))
+            if h:
+                add(Violation("F", (u,), f"held count {h}, matched"))
 
-    path = find_3_aug_path(adj, mate)
+        # Ownership: every owned entry is a real edge, no edge is owned
+        # from both sides, the totals cover every edge exactly once, and a
+        # level-0 vertex owns fewer than threshold edges, none into level 1.
+        if owned or owned._items:
+            k = len(owned)
+            total_owned += k
+            if len(owned._items) != k:
+                add(Violation("OWN", (u,), "dense list and position map differ in length"))
+            if lu == 0 and k >= threshold and v != u:  # matched to itself: no rule 2
+                add(Violation("2", (u,), f"level-0 vertex owns {k} edges"))
+            keys = owned.keys()
+            if not keys <= nbrs:
+                for w in keys - nbrs:
+                    add(Violation("OWN", (u, w), "owned entry is not an edge"))
+            if lu == 0 and level1 and not keys.isdisjoint(level1):
+                for w in keys & level1:
+                    add(Violation("OWN", (u, w), "level-0 endpoint owns cross-level edge"))
+            for w in keys:
+                if u in owners[w] and u < w:
+                    add(Violation("OWN", (u, w), "edge owned by both endpoints"))
+        if fi or fi._items:
+            actual_pairs += len(fi)
+            if len(fi._items) != len(fi):
+                add(Violation("F", (u,), "dense list and position map differ in length"))
+
+    path = _first_3_aug_path(adj, mate, free)
     if path is not None:
         add(Violation("5", path, "length-3 augmenting path"))
-
-    # Ownership: every owned entry is a real edge, no edge is owned from
-    # both sides, the totals cover every edge exactly once, and a level-0
-    # vertex never owns an edge into level 1.
-    total_owned = 0
-    for u in range(n):
-        owned = owners[u]
-        total_owned += len(owned)
-        if len(owned._items) != len(owned):
-            add(Violation("OWN", (u,), "dense list and position map differ in length"))
-        if not owned.keys() <= adj[u]:
-            for w in owned.keys() - adj[u]:
-                add(Violation("OWN", (u, w), "owned entry is not an edge"))
-        if level[u] == 0:
-            for w in owned.keys() & level1:
-                add(Violation("OWN", (u, w), "level-0 endpoint owns cross-level edge"))
-        for w in owned.keys():
-            if u in owners[w]:
-                if u < w:
-                    add(Violation("OWN", (u, w), "edge owned by both endpoints"))
     if total_owned != state.edge_count:
         add(
             Violation(
                 "OWN",
                 (),
                 f"{total_owned} owned entries for {state.edge_count} edges",
+            )
+        )
+    if actual_pairs != expected_pairs:
+        add(
+            Violation(
+                "F",
+                (),
+                f"{actual_pairs} indexed free-neighbor pairs, expected {expected_pairs}",
             )
         )
     # Level-1 target sets: a holder sits at level 1, and its set covers
@@ -159,31 +203,6 @@ def check_invariants(state: State) -> ViolationReport:
         for w in owners[x].keys():
             if level[w] == 1 and w not in targets:
                 add(Violation("OWN", (x, w), "owned level-1 target missing from target set"))
-
-    # Free-neighbor indexes: every F(v) is exactly v's free neighbors.
-    # Totals plus presence of every true (free, neighbor) pair imply set
-    # equality without intersecting every neighborhood.
-    free_index = state.free_index
-    expected_pairs = 0
-    for f in free:
-        expected_pairs += len(adj[f])
-        for w in adj[f]:
-            if f not in free_index[w]:
-                add(Violation("F", (w, f), f"free neighbor {f} missing from index of {w}"))
-    actual_pairs = 0
-    for v in range(n):
-        fi = free_index[v]
-        actual_pairs += len(fi)
-        if len(fi._items) != len(fi):
-            add(Violation("F", (v,), "dense list and position map differ in length"))
-    if actual_pairs != expected_pairs:
-        add(
-            Violation(
-                "F",
-                (),
-                f"{actual_pairs} indexed free-neighbor pairs, expected {expected_pairs}",
-            )
-        )
 
     return ViolationReport(out)
 

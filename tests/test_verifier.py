@@ -1,7 +1,11 @@
+import ast
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import dynmatch.verifier
 from dynmatch import (
     Config,
     OracleLimitError,
@@ -10,6 +14,8 @@ from dynmatch import (
     check_invariants,
     check_ratio,
     find_3_aug_path,
+    gen_random,
+    replay,
 )
 
 
@@ -115,6 +121,38 @@ class TestFind3AugPath:
         adj = adj_from_edges(4, path_edges(4))
         assert find_3_aug_path(adj, [None] * 4) is None
 
+    @staticmethod
+    def brute_force_first_path(adj, mate):
+        """The least (v, y, u, z) over every length-3 augmenting path
+        u-v-y-z, returned as (u, v, y, z); None when there is none."""
+        paths = [
+            (v, y, u, z)
+            for v, y in enumerate(mate)
+            if y is not None
+            for u in adj[v]
+            if mate[u] is None
+            for z in adj[y]
+            if mate[z] is None and z != u
+        ]
+        if not paths:
+            return None
+        v, y, u, z = min(paths)
+        return (u, v, y, z)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 10), st.data())
+    def test_matches_brute_force(self, n, data):
+        pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pool), unique=True))
+        # any set of disjoint edges, not only a matching the engine keeps
+        picks = data.draw(st.permutations(edges)) if edges else []
+        mate = [None] * n
+        for u, v in picks[: data.draw(st.integers(0, len(picks)))]:
+            if mate[u] is None and mate[v] is None:
+                mate[u], mate[v] = v, u
+        adj = adj_from_edges(n, edges)
+        assert find_3_aug_path(adj, mate) == self.brute_force_first_path(adj, mate)
+
 
 class TestCheckInvariants:
     def test_fresh_state_clean(self):
@@ -207,6 +245,14 @@ class TestCheckInvariants:
         assert rep.ids() == {"F"}
         assert [v.subject for v in rep.violations] == [(1,)]
 
+    @pytest.mark.parametrize("u", [1, 2])  # matched, free
+    def test_held_count_mismatch_reported(self, u):
+        s = self._matched_path_012()
+        s.held[u] += 1
+        rep = check_invariants(s)
+        assert rep.ids() == {"F"}
+        assert [v.subject for v in rep.violations] == [(u,)]
+
     def test_ownership_length_mismatch_reported(self):
         s = self._matched_path_012()
         s.owners[0]._items.append(1)
@@ -284,6 +330,124 @@ class TestCheckInvariants:
         text = check_invariants(s).to_text()
         assert "1a" in text and text.endswith("\n")
         assert check_invariants(State(Config(n=2))).to_text() == "clean\n"
+
+
+def _free(s):
+    return [u for u, m in enumerate(s.mate) if m is None]
+
+
+def _matched(s):
+    return [u for u, m in enumerate(s.mate) if m is not None]
+
+
+def _owned(s):
+    return [(u, w) for u in range(s.n) for w in s.owners[u]]
+
+
+def _matched_in_neighborhood(s):
+    return [(u, w) for u in _matched(s) for w in s.adj[u]]
+
+
+def _index_entries(s):
+    return [(w, f) for w in range(s.n) for f in s.free_index[w]]
+
+
+def _raise_free(s, u):
+    s.level[u] = 1
+
+
+def _forget_mate(s, u):
+    s.mate[s.mate[u]] = None
+
+
+def _drop_owned(s, uw):
+    s.owners[uw[0]].remove(uw[1])
+
+
+def _add_reverse_owned(s, uw):
+    s.owners[uw[1]].add(uw[0])
+
+
+def _index_matched(s, uw):
+    s.free_index[uw[1]].insert(uw[0])
+
+
+def _drop_index_entry(s, wf):
+    s.free_index[wf[0]].delete(wf[1])
+
+
+def _bump_held(s, u):
+    s.held[u] += 1
+
+
+# name: (targets in a state, corruption of one target, the invariant broken)
+CORRUPTIONS = {
+    "free vertex at level 1": (_free, _raise_free, "1a"),
+    "asymmetric mate": (_matched, _forget_mate, "SYM"),
+    "owned entry dropped": (_owned, _drop_owned, "OWN"),
+    "reverse owned entry added": (_owned, _add_reverse_owned, "OWN"),
+    "matched vertex indexed": (_matched_in_neighborhood, _index_matched, "F"),
+    "index entry removed": (_index_entries, _drop_index_entry, "F"),
+    "held count bumped": (lambda s: list(range(s.n)), _bump_held, "F"),
+}
+
+
+class TestFaultInjection:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 12),
+        st.integers(10, 60),
+        st.integers(0, 999),
+        st.sampled_from(sorted(CORRUPTIONS)),
+        st.data(),
+    )
+    def test_corruption_reported(self, n, t, seed, name, data):
+        s = State(Config(n=n, threshold=2, seed=seed))
+        replay(s, gen_random(n, t, 0.6, seed).ops, verify_every=0)
+        assert check_invariants(s).ok
+        targets, corrupt, invariant = CORRUPTIONS[name]
+        candidates = targets(s)
+        assume(candidates)
+        corrupt(s, data.draw(st.sampled_from(candidates)))
+        assert invariant in check_invariants(s).ids()
+
+
+def _engine_imports(source):
+    """Modules named by the imports in ``source`` (a module of the
+    ``dynmatch`` package) that are the engine or inside it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "dynmatch" + (f".{base}" if base else "")
+            names = [base] + [f"{base}.{a.name}" for a in node.names]
+        else:
+            continue
+        found += [m for m in names if m == "dynmatch.engine" or m.startswith("dynmatch.engine.")]
+    return found
+
+
+class TestIndependence:
+    def test_verifier_does_not_import_the_engine(self):
+        source = Path(dynmatch.verifier.__file__).read_text()
+        assert _engine_imports(source) == []
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "import dynmatch.engine",
+            "import dynmatch.engine as eng",
+            "from dynmatch.engine import insert_edge",
+            "from dynmatch import engine",
+            "from .engine import insert_edge",
+            "from . import core, engine",
+        ],
+    )
+    def test_guard_catches_engine_imports(self, line):
+        assert _engine_imports(line)
 
 
 class TestCheckRatio:
