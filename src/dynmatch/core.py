@@ -12,6 +12,10 @@ has the shared :data:`EMPTY_ADJ` as its adjacency, and an empty ownership
 list or free index keeps ``()`` as its dense list and no dict key table.
 So a fresh state costs two small objects and a few pointers per vertex.
 
+The free indexes follow one rule, which the engine keeps: a vertex sits in
+all of its neighbors' indexes or in none.  So one membership test says
+whether a vertex is indexed, and no count of its entries is kept.
+
 Inputs are validated once, at the update boundary: ``apply_update``,
 ``insert_edge`` and ``delete_edge`` in :mod:`dynmatch.engine` reject bad
 ids, self-loops, duplicate inserts and absent deletes before any mutation.
@@ -111,50 +115,24 @@ class IndexableSet(dict):
 
 
 class FreeNeighborIndex(IndexableSet):
-    """Free-neighbor index F(v) for one vertex: a dense swap-remove set.
+    """Free-neighbor index F(v) for one vertex: an :class:`IndexableSet`
+    that also answers ``get_free``.
 
     ``insert``, ``delete`` and ``get_free`` are all O(1); ``len`` and
-    truthiness answer "how many" and "any" at C level.  ``insert`` takes an
-    absent member and is not checked; ``delete`` takes a present one and
-    raises ``KeyError`` otherwise.  ``get_free`` hands back the last member
-    of the dense list other than the one it is told to skip: the analysis
-    only needs *some* free neighbor.
+    truthiness answer "how many" and "any" at C level.  ``insert`` is
+    ``add`` (an absent member, not checked) and ``delete`` is ``remove``
+    (a present member; an absent one raises ``KeyError``).  ``get_free``
+    hands back the last member of the dense list other than the one it is
+    told to skip: the analysis only needs *some* free neighbor.
 
-    ``held`` is a per-vertex count shared by every index of one state:
-    ``held[u]`` is how many indexes contain u, 0 or u's degree, since the
-    engine indexes a vertex in all its neighbors or in none.  It changes
-    only here, so callers can skip a scan for a vertex no index holds.
+    The engine indexes a vertex in all its neighbors' indexes or in none,
+    so one membership test answers whether a vertex is indexed anywhere.
     """
 
-    __slots__ = ("held",)
+    __slots__ = ()
 
-    def __init__(self, held: list[int]) -> None:
-        self._items = ()
-        self.held = held
-
-    def insert(self, u: int) -> None:
-        """Add u, which must be absent."""
-        items = self._items
-        if items:
-            self[u] = len(items)
-            items.append(u)
-        else:
-            self[u] = 0
-            self._items = [u]
-        self.held[u] += 1
-
-    def delete(self, u: int) -> None:
-        """Remove u, which must be present."""
-        pos = self.pop(u)
-        items = self._items
-        last = items.pop()
-        if last != u:
-            items[pos] = last
-            self[last] = pos
-        elif not items:
-            self._items = ()
-            self.clear()
-        self.held[u] -= 1
+    insert = IndexableSet.add
+    delete = IndexableSet.remove
 
     def get_free(self, skip: int | None = None) -> int | None:
         """The last member of the dense list other than ``skip``, or None."""
@@ -180,9 +158,8 @@ class State:
         self.mate: list[int | None] = [None] * n
         self.level: list[int] = [0] * n
         self.owners: list[IndexableSet] = [IndexableSet() for _ in range(n)]
-        self.held: list[int] = [0] * n
         self.free_index: list[FreeNeighborIndex] = [
-            FreeNeighborIndex(self.held) for _ in range(n)
+            FreeNeighborIndex() for _ in range(n)
         ]
         # Level-1 target sets: only a vertex that handle_delete_level1
         # re-raised at once holds one, a superset of its owned targets at

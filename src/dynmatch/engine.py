@@ -35,13 +35,15 @@ Below them nothing is re-checked: the procedures, the macros and the
 the observer's epoch events (a level raise restarts an epoch by unmatching
 and matching the pair again).  The verifier is the safety net.
 
-Matched means unindexed: ``_match`` takes both endpoints out of every free
-index, calling ``delete_from_f_list`` only for an endpoint that ``held``
-says is indexed.  A vertex is indexed only as the free endpoint of a new
-edge whose other endpoint is matched, or by a naive settle that finds no
-match and no path, so no index call is a no-op.  A new edge between two
-free vertices indexes neither: :func:`insert_edge` unindexes both before
-the edge joins their adjacency, and ``handle_insert_level0`` matches them.
+All or none, and matched means unindexed: a vertex sits in every
+neighbor's free index or in none, and in none while matched.  ``_match``
+unindexes an endpoint only if its partner's index holds it, which, the
+pair being an edge, says whether any index does.  A vertex is indexed
+only as the free endpoint of a new edge whose other endpoint is matched,
+or by a naive settle that finds no match and no path, so no index call is
+a no-op.  A new edge between two free vertices indexes neither:
+:func:`insert_edge` unindexes both before the edge joins their adjacency,
+and ``handle_insert_level0`` matches them.
 """
 
 from __future__ import annotations
@@ -65,14 +67,14 @@ def _match(state, u, v, creator, *, init=None):
 
     ``init`` is the snapshot of u's owned edges that a random settle takes:
     the epoch is random, and owned by u, exactly when it is given.  Both
-    endpoints leave the free indexes first, each only if an index holds it:
-    for a new edge between two free vertices :func:`insert_edge` has
-    already unindexed them.
+    endpoints leave the free indexes first, each only if its partner's
+    index holds it (all or none, and (u, v) is an edge): for a new edge
+    between two free vertices :func:`insert_edge` has already done so.
     """
-    held = state.held
-    if held[u]:
+    free_index = state.free_index
+    if u in free_index[v]:
         delete_from_f_list(state, u)
-    if held[v]:
+    if v in free_index[u]:
         delete_from_f_list(state, v)
     mate = state.mate
     mate[u] = v
@@ -186,7 +188,7 @@ def delete_from_f_list(state: State, u: int) -> None:
 
     ``_match`` is the caller, and :func:`insert_edge` for the endpoints of a
     new edge between two free vertices, before the edge is added.  Both
-    test ``state.held[u]`` first, so no call is a no-op.
+    test first whether u is indexed, so no call is a no-op.
     """
     free_index = state.free_index
     for w in state.adj[u]:
@@ -480,11 +482,13 @@ def insert_edge(state: State, u: int, v: int) -> list[tuple]:
         if mate[v] is None:
             # Both free, so both at level 0 with no free neighbor: the only
             # repair is handle_insert_level0's _match(u, v).  Unindex them
-            # now, while the new edge is not yet in either adjacency.
-            held = state.held
-            if held[u]:
+            # now, while the new edge is not yet in either adjacency; a
+            # vertex free at the start of an update is indexed exactly when
+            # it has an edge.
+            adj = state.adj
+            if adj[u]:
                 delete_from_f_list(state, u)
-            if held[v]:
+            if adj[v]:
                 delete_from_f_list(state, v)
             state.add_edge(u, v)
         else:

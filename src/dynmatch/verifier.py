@@ -91,12 +91,14 @@ def check_invariants(state: State) -> ViolationReport:
     """Evaluate all ten structural checks; empty report means clean.
 
     O(n * threshold + m) in one pass over the vertices: each vertex's
-    matching, levels, neighborhood, ownership list, free index and
-    ``held`` count are checked together, and the augmenting-path search
-    reuses the pass's set of free vertices.  ``held[u]`` must be u's
-    degree when u is free and 0 when it is matched.  Set operations are
-    guarded by ``isdisjoint`` or ``<=``, so a set is built only to name a
-    violation.
+    matching, levels, neighborhood, ownership list and free index are
+    checked together, and the augmenting-path search reuses the pass's set
+    of free vertices.  Each free vertex must sit in every neighbor's free
+    index, and the total of index sizes must equal the number of
+    (vertex, free neighbor) pairs, so every F(w) is exactly w's free
+    neighbors: a free vertex sits in all its neighbors' indexes and a
+    matched one in none.  Set operations are guarded by ``isdisjoint`` or
+    ``<=``, so a set is built only to name a violation.
     """
     n = state.config.n
     threshold = state.threshold
@@ -113,9 +115,7 @@ def check_invariants(state: State) -> ViolationReport:
     total_owned = 0
     expected_pairs = 0
     actual_pairs = 0
-    for u, v, lu, nbrs, owned, fi, h in zip(
-        range(n), mate, level, adj, owners, free_index, state.held
-    ):
+    for u, v, lu, nbrs, owned, fi in zip(range(n), mate, level, adj, owners, free_index):
         if v is None:
             if lu != 0:
                 if lu == 1:
@@ -134,8 +134,6 @@ def check_invariants(state: State) -> ViolationReport:
                     if u not in free_index[w]:
                         add(Violation("F", (w, u), f"free neighbor {u} missing from index of {w}"))
                 expected_pairs += len(nbrs)
-            if h != len(nbrs):
-                add(Violation("F", (u,), f"held count {h}, free with degree {len(nbrs)}"))
         else:
             if v == u:
                 add(Violation("SYM", (u,), "vertex matched to itself"))
@@ -148,8 +146,6 @@ def check_invariants(state: State) -> ViolationReport:
                     add(Violation("4", (u, v), f"levels {lu} vs {level[v]}"))
                 if lu == 0 and len(nbrs) >= threshold:
                     add(Violation("3", (u,), f"matched at level 0 with degree {len(nbrs)}"))
-            if h:
-                add(Violation("F", (u,), f"held count {h}, matched"))
 
         # Ownership: every owned entry is a real edge, no edge is owned
         # from both sides, the totals cover every edge exactly once, and a
@@ -159,7 +155,7 @@ def check_invariants(state: State) -> ViolationReport:
             total_owned += k
             if len(owned._items) != k:
                 add(Violation("OWN", (u,), "dense list and position map differ in length"))
-            if lu == 0 and k >= threshold and v != u:  # matched to itself: no rule 2
+            if lu == 0 and k >= threshold:
                 add(Violation("2", (u,), f"level-0 vertex owns {k} edges"))
             keys = owned.keys()
             if not keys <= nbrs:

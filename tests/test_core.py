@@ -66,7 +66,7 @@ class TestEmptyContainers:
     """A container that holds nothing allocates nothing."""
 
     def test_large_state_is_small(self):
-        # About 12.6 MiB: two container objects per vertex plus the
+        # About 11.6 MiB: two container objects per vertex plus the
         # per-vertex lists.  Any allocation held by an empty container
         # breaks the bound.
         tracemalloc.start()
@@ -90,7 +90,7 @@ class TestEmptyContainers:
         insert_edge(s, 0, 1)
         delete_edge(s, 0, 1)
         fresh_owners = sys.getsizeof(IndexableSet())
-        fresh_index = sys.getsizeof(FreeNeighborIndex(s.held))
+        fresh_index = sys.getsizeof(FreeNeighborIndex())
         for v in (0, 1):
             assert s.owners[v]._items == () and s.free_index[v]._items == ()
             assert sys.getsizeof(s.owners[v]) == fresh_owners
@@ -108,7 +108,7 @@ class TestFreeNeighborIndex:
         assert s.free_index[0].get_free() is None
 
     def test_get_free_returns_member(self):
-        fni = FreeNeighborIndex([0] * 8)
+        fni = FreeNeighborIndex()
         fni.insert(7)
         fni.insert(3)
         assert fni.get_free() in {3, 7}
@@ -128,31 +128,27 @@ class TestFreeNeighborIndex:
         ],
     )
     def test_get_free_skip(self, members, skip, expected):
-        held = [0] * 8
-        fni = FreeNeighborIndex(held)
+        fni = FreeNeighborIndex()
         for x in members:
             fni.insert(x)
         assert fni.get_free(skip) == expected
-        # a read: the dense list and the held counts stay as they were
+        # a read: the dense list and the position map stay as they were
         assert list(fni) == list(members)
-        assert held == [int(x in members) for x in range(8)]
+        assert dict(fni) == {x: i for i, x in enumerate(members)}
 
     def test_delete_absent_raises(self):
-        held = [0] * 8
-        fni = FreeNeighborIndex(held)
+        fni = FreeNeighborIndex()
         fni.insert(5)
-        assert len(fni) == 1
-        assert held[5] == 1
+        assert len(fni) == 1 and 5 in fni
         fni.delete(5)
-        assert len(fni) == 0
-        assert held[5] == 0
+        assert len(fni) == 0 and 5 not in fni
         # every call does work: a second delete finds nothing and raises,
-        # leaving the index and the held count as they were
+        # leaving the index empty
         with pytest.raises(KeyError):
             fni.delete(5)
         with pytest.raises(KeyError):
             fni.delete(3)
-        assert fni._items == () and held == [0] * 8
+        assert fni._items == () and not fni
 
     def test_total_and_has_free_exact(self):
         s = make_state(9)
@@ -160,16 +156,17 @@ class TestFreeNeighborIndex:
         s.free_index[4].insert(3)
         assert len(s.free_index[4]) == 2
         assert s.free_index[4]
-        assert s.held[0] == s.held[3] == 1
+        # an entry lives in one index only
+        assert [v for v in range(9) if 0 in s.free_index[v]] == [4]
         s.free_index[4].delete(0)
         s.free_index[4].delete(3)
         assert len(s.free_index[4]) == 0
         assert not s.free_index[4]
-        assert s.held == [0] * 9
+        assert not any(s.free_index)
 
     def test_get_free_deterministic_for_same_history(self):
-        a = FreeNeighborIndex([0] * 16)
-        b = FreeNeighborIndex([0] * 16)
+        a = FreeNeighborIndex()
+        b = FreeNeighborIndex()
         for fni in (a, b):
             for x in (9, 2, 14):
                 fni.insert(x)
@@ -184,8 +181,7 @@ class TestFreeNeighborIndex:
     )
     def test_matches_reference_set(self, ops):
         n = 31
-        held = [0] * n
-        indexes = [FreeNeighborIndex(held) for _ in range(4)]
+        indexes = [FreeNeighborIndex() for _ in range(4)]
         reference = [set() for _ in indexes]
         for i, insert, u in ops:
             fni, ref = indexes[i], reference[i]
@@ -213,9 +209,8 @@ class TestFreeNeighborIndex:
                 assert fni.get_free(u) in ref - {u}
             else:
                 assert fni.get_free(u) is None
-            assert held[u] == sum(u in r for r in reference)
+            assert fni == {x: i for i, x in enumerate(fni._items)}
         for u in range(n):
-            assert held[u] == sum(u in ref for ref in reference)
             assert all((u in fni) == (u in ref) for fni, ref in zip(indexes, reference))
 
 

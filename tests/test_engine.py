@@ -84,7 +84,7 @@ class TestMacros:
 
     def test_check_3_aug_path_writes_nothing(self):
         # u = 0 is in F(mate(2)) = F(1) but not its last member; the probe
-        # answers the other member and leaves the index and held as they were
+        # answers the other member and leaves every index as it was
         s = make_state(6)
         for a, b in ((0, 2), (2, 1), (1, 5), (0, 1)):
             add_owned(s, a, b)
@@ -92,10 +92,10 @@ class TestMacros:
         fi = s.free_index[1]
         fi.insert(0)
         fi.insert(5)
-        items, held = list(fi), list(s.held)
+        indexes = [dict(f) for f in s.free_index]
         assert check_3_aug_path(s, 0, 2) == 5
-        assert list(fi) == items == [0, 5]
-        assert s.held == held
+        assert list(fi) == [0, 5]
+        assert [dict(f) for f in s.free_index] == indexes
 
     def test_check_3_aug_path_rejects_self(self):
         # triangle: u is y's only free neighbor, so no usable endpoint
@@ -549,13 +549,12 @@ class TestInsert:
         assert s.mate[4] == 5
         assert s.free_index[1]._items == [7, 6]
         assert [f._items for f in s.free_index] == [f._items for f in ref.free_index]
-        assert s.held == ref.held
         assert check_invariants(s).ok
 
     @pytest.mark.parametrize("seed", range(3))
     def test_level0_replay_keeps_up_front_dense_lists(self, seed):
         """With every vertex held at level 0, each update leaves every dense
-        list and count as indexing both endpoints up front does."""
+        list as indexing both endpoints up front does."""
         s = make_state(64, threshold=64, seed=seed)
         ref = make_state(64, threshold=64, seed=seed)
         for op in gen_random(64, 2000, 0.6, seed).ops:
@@ -566,7 +565,7 @@ class TestInsert:
                 delete_edge(s, op.u, op.v)
                 delete_edge(ref, op.u, op.v)
             assert [f._items for f in s.free_index] == [f._items for f in ref.free_index]
-            assert s.held == ref.held and s.mate == ref.mate
+            assert s.mate == ref.mate
 
 
 def insert_indexing_up_front(s, u, v):
@@ -646,9 +645,23 @@ def test_random_interleavings_stay_clean(n, threshold, seed, picks):
         assert len(trace) <= 30
         rep = check_invariants(s)
         assert rep.ok, rep.to_text()
-        for u in range(n):
-            assert s.held[u] == sum(u in s.free_index[w] for w in range(n))
+        assert_indexed_all_or_none(s, boundary=True)
     assert find_3_aug_path(s.adj, s.mate) is None
+
+
+def assert_indexed_all_or_none(s, boundary):
+    """Each vertex sits in all of its neighbors' free indexes or in none,
+    and in none while matched.  At an update boundary every free vertex
+    sits in all of them; within an update a displaced vertex may still
+    wait, unindexed, for its settle."""
+    for x in range(s.n):
+        holders = {w for w in range(s.n) if x in s.free_index[w]}
+        if s.mate[x] is not None:
+            assert not holders, (x, "matched", holders)
+        elif boundary:
+            assert holders == s.adj[x], (x, "free", holders)
+        else:
+            assert holders in (set(), s.adj[x]), (x, "partly indexed", holders)
 
 
 def assert_level1_targets_covered(s):
@@ -675,7 +688,6 @@ def fingerprint(s):
         list(s.level),
         [list(o) for o in s.owners],
         [list(f) for f in s.free_index],
-        list(s.held),
         [(x, sorted(t)) for x, t in s.level1_owned.items()],
         s.edge_count,
         s.matching_size,
@@ -723,14 +735,15 @@ def test_rejected_update_leaves_state_unchanged(seed):
 
 class UnindexedOnMatch:
     """An observer that checks, as each pair is matched, that neither
-    endpoint sits in any free index."""
+    endpoint nor any other matched vertex sits in a free index, and that
+    every free vertex sits in all its neighbors' indexes or in none: the
+    rule ``_match`` relies on to test one index."""
 
     def __init__(self, state):
-        self.held = state.held
+        self.state = state
 
     def on_match_set(self, index, edge, level, cls, *, creator, owner, owned_init):
-        u, v = edge
-        assert self.held[u] == self.held[v] == 0, (index, edge, creator)
+        assert_indexed_all_or_none(self.state, boundary=False)
 
     def _ignore(self, *args):
         pass
@@ -741,12 +754,13 @@ class UnindexedOnMatch:
 class UpdateMachine(RuleBasedStateMachine):
     """Any interleaving of inserts, deletes and rejected updates keeps the
     state clean, leaves a rejected update's state untouched, keeps every
-    empty container in its allocation-free form, and matches only vertices
-    that no free index holds."""
+    empty container in its allocation-free form, and indexes each vertex in
+    all or none of its neighbors' free indexes: none while matched, and
+    all when free at an update boundary."""
 
     EMPTY_SIZES = {
         IndexableSet: sys.getsizeof(IndexableSet()),
-        FreeNeighborIndex: sys.getsizeof(FreeNeighborIndex([])),
+        FreeNeighborIndex: sys.getsizeof(FreeNeighborIndex()),
     }
 
     @initialize(
@@ -821,6 +835,10 @@ class UpdateMachine(RuleBasedStateMachine):
         assert_level1_targets_covered(self.s)
 
     @invariant()
+    def indexed_all_or_none(self):
+        assert_indexed_all_or_none(self.s, boundary=True)
+
+    @invariant()
     def empty_containers_allocate_nothing(self):
         s = self.s
         for v in range(s.n):
@@ -830,7 +848,6 @@ class UpdateMachine(RuleBasedStateMachine):
                 if not c:
                     assert c._items == ()
                     assert sys.getsizeof(c) == self.EMPTY_SIZES[type(c)]
-            assert s.held[v] == sum(v in f for f in s.free_index)
 
 
 TestUpdateMachine = UpdateMachine.TestCase

@@ -245,14 +245,6 @@ class TestCheckInvariants:
         assert rep.ids() == {"F"}
         assert [v.subject for v in rep.violations] == [(1,)]
 
-    @pytest.mark.parametrize("u", [1, 2])  # matched, free
-    def test_held_count_mismatch_reported(self, u):
-        s = self._matched_path_012()
-        s.held[u] += 1
-        rep = check_invariants(s)
-        assert rep.ids() == {"F"}
-        assert [v.subject for v in rep.violations] == [(u,)]
-
     def test_ownership_length_mismatch_reported(self):
         s = self._matched_path_012()
         s.owners[0]._items.append(1)
@@ -315,6 +307,16 @@ class TestCheckInvariants:
         assert "3" in rep.ids()  # deg(0)=3 >= 2, matched at level 0
         assert "2" in rep.ids()  # |O_0|=3 >= 2 at level 0
 
+    def test_self_matched_vertex_still_checked_for_rule_2(self):
+        s = State(Config(n=3, threshold=1))
+        s.add_edge(0, 1)
+        s.own_add(0, 1)
+        s.free_index[0].insert(1)
+        s.mate[0] = 0
+        rep = check_invariants(s)
+        assert rep.ids() == {"SYM", "2"}  # |O_0|=1 >= 1 at level 0
+        assert [v.subject for v in rep.violations] == [(0,), (0,)]
+
     def test_level_mismatch_reported(self):
         s = State(Config(n=2))
         s.add_edge(0, 1)
@@ -376,8 +378,17 @@ def _drop_index_entry(s, wf):
     s.free_index[wf[0]].delete(wf[1])
 
 
-def _bump_held(s, u):
-    s.held[u] += 1
+def _free_at_non_neighbors(s):
+    return [
+        (w, f)
+        for f in _free(s)
+        for w in range(s.n)
+        if w != f and w not in s.adj[f]
+    ]
+
+
+def _index_at_non_neighbor(s, wf):
+    s.free_index[wf[0]].insert(wf[1])
 
 
 # name: (targets in a state, corruption of one target, the invariant broken)
@@ -388,7 +399,10 @@ CORRUPTIONS = {
     "reverse owned entry added": (_owned, _add_reverse_owned, "OWN"),
     "matched vertex indexed": (_matched_in_neighborhood, _index_matched, "F"),
     "index entry removed": (_index_entries, _drop_index_entry, "F"),
-    "held count bumped": (lambda s: list(range(s.n)), _bump_held, "F"),
+    # caught only by the total of index sizes
+    "free vertex indexed at a non-neighbor": (
+        _free_at_non_neighbors, _index_at_non_neighbor, "F"
+    ),
 }
 
 

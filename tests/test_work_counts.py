@@ -1,17 +1,23 @@
 """Deterministic work counts of the benchmark's smoke workloads.
 
-Each smoke workload is replayed at seed 1, in-process and untimed, from the
-same serialized text and the same fresh state the benchmark builds, with
-``FreeNeighborIndex.insert`` and ``delete`` wrapped to count their calls.
+Each smoke workload is replayed at seed 1 through the benchmark's own traced
+pass, ``dmbench.tracing.traced_pass``, from the same serialized text and the
+same fresh state the benchmark builds.  The traced pass wraps every layer's
+public functions, ``FreeNeighborIndex.insert``/``delete``/``get_free``
+included, and writes no spans file; so this test also fails when a change
+to the package breaks the benchmark's traced run (``--trace 1``).
+
 The counts depend only on the engine's trajectory and on where it indexes a
 free vertex, not on a timer, so they guard free-index upkeep against
 regression on any box.  A pin moves only with an intended change to that
 work: such a change updates the constants below and says why.
 """
 
+from array import array
+
 import pytest
 
-from dynmatch import FreeNeighborIndex, replay, workload
+from dynmatch import workload
 
 SEED = 1
 
@@ -24,22 +30,14 @@ PINNED_FREE_INDEX_CALLS = {
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_FREE_INDEX_CALLS))
-def test_free_index_calls_pinned(name, dmbench, monkeypatch):
-    counts = {"insert": 0, "delete": 0}
-    insert, delete = FreeNeighborIndex.insert, FreeNeighborIndex.delete
-
-    def counted_insert(fi, u):
-        counts["insert"] += 1
-        insert(fi, u)
-
-    def counted_delete(fi, u):
-        counts["delete"] += 1
-        delete(fi, u)
-
-    monkeypatch.setattr(FreeNeighborIndex, "insert", counted_insert)
-    monkeypatch.setattr(FreeNeighborIndex, "delete", counted_delete)
+def test_free_index_calls_pinned(name, dmbench):
     spec = dmbench.workloads.spec_for(name, smoke=True)
     seq = workload.parse(dmbench.workloads.make_text(spec, SEED))
-    result = replay(dmbench.replay.new_state(seq.n, SEED), seq.ops, verify_every=0)
-    assert result.report is None, result.report.to_text()
-    assert (counts["insert"], counts["delete"]) == PINNED_FREE_INDEX_CALLS[name]
+    times = array("q", bytes(8 * len(seq.ops)))
+    res, _, layer = dmbench.tracing.traced_pass(seq, SEED, times)
+    assert res.failed == 0, res.error
+    assert res.attempted == len(seq.ops)
+    calls = (layer["core.free_index.insert.calls"], layer["core.free_index.delete.calls"])
+    assert calls == PINNED_FREE_INDEX_CALLS[name]
+    # every delete_from_f_list call erases an entry
+    assert layer["engine.delete_from_f_list.noop_calls"] == 0
