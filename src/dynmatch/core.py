@@ -7,10 +7,13 @@ dense list, so membership and size are C-level dict operations.  All
 update-time operations here are O(1), ``get_free`` included.  Update logic
 lives in :mod:`dynmatch.engine`.
 
-A container that holds nothing allocates nothing: a vertex with no edge
-has the shared :data:`EMPTY_ADJ` as its adjacency, and an empty ownership
-list or free index keeps ``()`` as its dense list and no dict key table.
-So a fresh state costs two small objects and a few pointers per vertex.
+A vertex with nothing allocates nothing.  A vertex with no edge has the
+shared :data:`EMPTY_ADJ` as its adjacency, and a vertex whose ownership
+list or free index was never written has the shared :data:`EMPTY_OWNED` or
+:data:`EMPTY_FREE`.  The first write to a vertex's container replaces the
+shared empty with a fresh one, which keeps its object from then on: a
+container that empties again holds ``()`` as its dense list and no dict key
+table.  So a fresh state costs three list slots per vertex and no object.
 
 The free indexes follow one rule, which the engine keeps: a vertex sits in
 all of its neighbors' indexes or in none.  So one membership test says
@@ -119,11 +122,12 @@ class FreeNeighborIndex(IndexableSet):
     that also answers ``get_free``.
 
     ``insert``, ``delete`` and ``get_free`` are all O(1); ``len`` and
-    truthiness answer "how many" and "any" at C level.  ``insert`` is
-    ``add`` (an absent member, not checked) and ``delete`` is ``remove``
-    (a present member; an absent one raises ``KeyError``).  ``get_free``
-    hands back the last member of the dense list other than the one it is
-    told to skip: the analysis only needs *some* free neighbor.
+    truthiness answer "how many" and "any" at C level.  ``insert`` does
+    what ``add`` does (an absent member, not checked) and ``delete`` what
+    ``remove`` does (a present member; an absent one raises ``KeyError``).
+    ``get_free`` hands back the last member of the dense list other than
+    the one it is told to skip: the analysis only needs *some* free
+    neighbor.
 
     The engine indexes a vertex in all its neighbors' indexes or in none,
     so one membership test answers whether a vertex is indexed anywhere.
@@ -131,8 +135,27 @@ class FreeNeighborIndex(IndexableSet):
 
     __slots__ = ()
 
-    insert = IndexableSet.add
-    delete = IndexableSet.remove
+    # Copies of ``add``/``remove``, not aliases: CPython's per-code-object
+    # caches then see one type each instead of missing on two.
+    def insert(self, x: int) -> None:
+        items = self._items
+        if items:
+            self[x] = len(items)
+            items.append(x)
+        else:
+            self[x] = 0
+            self._items = [x]
+
+    def delete(self, x: int) -> None:
+        pos = self.pop(x)
+        items = self._items
+        last = items.pop()
+        if last != x:
+            items[pos] = last
+            self[last] = pos
+        elif not items:
+            self._items = ()
+            self.clear()
 
     def get_free(self, skip: int | None = None) -> int | None:
         """The last member of the dense list other than ``skip``, or None."""
@@ -142,12 +165,22 @@ class FreeNeighborIndex(IndexableSet):
         return items[-2] if len(items) > 1 else None
 
 
+# Ownership list and free index of every vertex whose container was never
+# written.  Shared by every state in the process, so nothing may write into
+# them: a writer swaps in a fresh container first (``State.own_add``, and
+# the engine's ``insert_to_f_list`` and ``insert_edge``).
+EMPTY_OWNED: IndexableSet = IndexableSet()
+EMPTY_FREE: FreeNeighborIndex = FreeNeighborIndex()
+
+
 class State:
     """Complete algorithm state over a fixed vertex set [0, n).
 
     Starts as the empty graph: every vertex free, at level 0, owning
-    nothing, with :data:`EMPTY_ADJ` as its adjacency.  ``trace`` collects
-    the procedure calls of the current update.
+    nothing, with the shared :data:`EMPTY_ADJ`, :data:`EMPTY_OWNED` and
+    :data:`EMPTY_FREE` as its containers until the first write to each.
+    Readers take a shared empty as the empty container it is.  ``trace``
+    collects the procedure calls of the current update.
     """
 
     def __init__(self, config: Config) -> None:
@@ -157,10 +190,8 @@ class State:
         self.adj: list[set[int] | frozenset[int]] = [EMPTY_ADJ] * n
         self.mate: list[int | None] = [None] * n
         self.level: list[int] = [0] * n
-        self.owners: list[IndexableSet] = [IndexableSet() for _ in range(n)]
-        self.free_index: list[FreeNeighborIndex] = [
-            FreeNeighborIndex() for _ in range(n)
-        ]
+        self.owners: list[IndexableSet] = [EMPTY_OWNED] * n
+        self.free_index: list[FreeNeighborIndex] = [EMPTY_FREE] * n
         # Level-1 target sets: only a vertex that handle_delete_level1
         # re-raised at once holds one, a superset of its owned targets at
         # level 1, so its next drop skips the scan of its whole list.
@@ -211,8 +242,12 @@ class State:
     # -- ownership ---------------------------------------------------------
 
     def own_add(self, owner: int, other: int) -> None:
-        """Charge edge (owner, other), which has no owner yet, to owner."""
-        self.owners[owner].add(other)
+        """Charge edge (owner, other), which has no owner yet, to owner;
+        owner's first owned edge replaces EMPTY_OWNED."""
+        owned = self.owners[owner]
+        if owned is EMPTY_OWNED:
+            owned = self.owners[owner] = IndexableSet()
+        owned.add(other)
 
     def own_remove(self, owner: int, other: int) -> None:
         self.owners[owner].remove(other)

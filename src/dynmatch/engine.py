@@ -44,11 +44,16 @@ or by a naive settle that finds no match and no path, so no index call is
 a no-op.  A new edge between two free vertices indexes neither:
 :func:`insert_edge` unindexes both before the edge joins their adjacency,
 and ``handle_insert_level0`` matches them.
+
+A free index is the shared :data:`~dynmatch.core.EMPTY_FREE` until its
+first entry: :func:`insert_to_f_list` and :func:`insert_edge`, the only
+places that add an entry, swap in a fresh index first and never put the
+shared one back.
 """
 
 from __future__ import annotations
 
-from .core import State
+from .core import EMPTY_FREE, FreeNeighborIndex, State
 
 PROCEDURE_NAMES = (
     "naive_settle_augmented",
@@ -177,10 +182,14 @@ def take_ownership(state: State, u: int) -> None:
 
 
 def insert_to_f_list(state: State, u: int) -> None:
-    """Record u as free in every neighbor's index."""
+    """Record u as free in every neighbor's index; a neighbor's first entry
+    replaces EMPTY_FREE."""
     free_index = state.free_index
     for w in state.adj[u]:
-        free_index[w].insert(u)
+        fi = free_index[w]
+        if fi is EMPTY_FREE:
+            fi = free_index[w] = FreeNeighborIndex()
+        fi.insert(u)
 
 
 def delete_from_f_list(state: State, u: int) -> None:
@@ -493,11 +502,17 @@ def insert_edge(state: State, u: int, v: int) -> list[tuple]:
             state.add_edge(u, v)
         else:
             state.add_edge(u, v)
-            state.free_index[v].insert(u)
+            fi = state.free_index[v]
+            if fi is EMPTY_FREE:
+                fi = state.free_index[v] = FreeNeighborIndex()
+            fi.insert(u)
     else:
         state.add_edge(u, v)
         if mate[v] is None:
-            state.free_index[u].insert(v)
+            fi = state.free_index[u]
+            if fi is EMPTY_FREE:
+                fi = state.free_index[u] = FreeNeighborIndex()
+            fi.insert(v)
     lu, lv = state.level[u], state.level[v]
     if lu == 1 and lv == 1:
         owner, other = (u, v) if u < v else (v, u)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import index_free
 from dynmatch import (
     Config,
     FreeNeighborIndex,
@@ -15,7 +16,7 @@ from dynmatch import (
     check_invariants,
     default_threshold,
 )
-from dynmatch.core import EMPTY_ADJ
+from dynmatch.core import EMPTY_ADJ, EMPTY_FREE, EMPTY_OWNED
 from dynmatch.engine import _match, _unmatch, delete_edge, insert_edge
 
 
@@ -66,9 +67,9 @@ class TestEmptyContainers:
     """A container that holds nothing allocates nothing."""
 
     def test_large_state_is_small(self):
-        # About 11.6 MiB: two container objects per vertex plus the
-        # per-vertex lists.  Any allocation held by an empty container
-        # breaks the bound.
+        # About 2.5 MiB: the per-vertex lists, whose slots all point at
+        # shared empties.  Any object allocated per vertex (an empty
+        # ownership list or free index is about 80 B) breaks the bound.
         tracemalloc.start()
         try:
             s = State(Config(n=65536))
@@ -76,7 +77,7 @@ class TestEmptyContainers:
         finally:
             tracemalloc.stop()
         assert s.n == 65536
-        assert size <= 16 * 2**20
+        assert size <= 4 * 2**20
 
     def test_untouched_adjacency_is_shared_sentinel(self):
         s = make_state(4)
@@ -85,13 +86,31 @@ class TestEmptyContainers:
         assert s.adj[0] == {1} and s.adj[1] == {0}
         assert EMPTY_ADJ == frozenset()
 
+    def test_containers_are_shared_empties_until_written(self):
+        s = make_state(4)
+        assert all(o is EMPTY_OWNED for o in s.owners)
+        assert all(f is EMPTY_FREE for f in s.free_index)
+        insert_edge(s, 0, 1)
+        insert_edge(s, 1, 2)  # 2 is free at matched 1: F(1)'s first entry
+        owners = [v for v in range(4) if s.owners[v] is not EMPTY_OWNED]
+        assert owners == [v for v in range(4) if s.owners[v]]
+        assert [v for v in range(4) if s.free_index[v] is not EMPTY_FREE] == [1]
+        written = list(s.owners), list(s.free_index)
+        delete_edge(s, 1, 2)
+        delete_edge(s, 0, 1)
+        # an emptied container keeps its object: no shared empty comes back
+        for before, after in zip(written, (s.owners, s.free_index)):
+            assert all(b is a for b, a in zip(before, after))
+
     def test_emptied_containers_drop_their_storage(self):
         s = make_state(4)
         insert_edge(s, 0, 1)
+        insert_edge(s, 1, 2)
+        delete_edge(s, 1, 2)
         delete_edge(s, 0, 1)
         fresh_owners = sys.getsizeof(IndexableSet())
         fresh_index = sys.getsizeof(FreeNeighborIndex())
-        for v in (0, 1):
+        for v in (0, 1, 2):
             assert s.owners[v]._items == () and s.free_index[v]._items == ()
             assert sys.getsizeof(s.owners[v]) == fresh_owners
             assert sys.getsizeof(s.free_index[v]) == fresh_index
@@ -152,8 +171,8 @@ class TestFreeNeighborIndex:
 
     def test_total_and_has_free_exact(self):
         s = make_state(9)
-        s.free_index[4].insert(0)
-        s.free_index[4].insert(3)
+        index_free(s, 4, 0)
+        index_free(s, 4, 3)
         assert len(s.free_index[4]) == 2
         assert s.free_index[4]
         # an entry lives in one index only

@@ -13,6 +13,7 @@ from hypothesis.stateful import (
 )
 
 import dynmatch.engine as eng
+from conftest import assert_shared_empties_empty, index_free
 from dynmatch import (
     Config,
     FreeNeighborIndex,
@@ -24,7 +25,7 @@ from dynmatch import (
     gen_random,
     replay,
 )
-from dynmatch.core import EMPTY_ADJ
+from dynmatch.core import EMPTY_ADJ, EMPTY_FREE, EMPTY_OWNED
 from dynmatch.engine import (
     apply_update,
     check_3_aug_path,
@@ -70,8 +71,8 @@ def matched_path_0123(threshold=None):
     add_owned(s, 1, 2)
     add_owned(s, 3, 2)
     match(s, 1, 2)
-    s.free_index[1].insert(0)
-    s.free_index[2].insert(3)
+    index_free(s, 1, 0)
+    index_free(s, 2, 3)
     return s
 
 
@@ -89,9 +90,9 @@ class TestMacros:
         for a, b in ((0, 2), (2, 1), (1, 5), (0, 1)):
             add_owned(s, a, b)
         match(s, 1, 2)
+        index_free(s, 1, 0)
+        index_free(s, 1, 5)
         fi = s.free_index[1]
-        fi.insert(0)
-        fi.insert(5)
         indexes = [dict(f) for f in s.free_index]
         assert check_3_aug_path(s, 0, 2) == 5
         assert list(fi) == [0, 5]
@@ -104,8 +105,8 @@ class TestMacros:
         add_owned(s, 0, 1)
         add_owned(s, 0, 2)
         match(s, 1, 2)
-        s.free_index[1].insert(0)
-        s.free_index[2].insert(0)
+        index_free(s, 1, 0)
+        index_free(s, 2, 0)
         assert check_3_aug_path(s, 0, 1) is None
         assert list(s.free_index[2]) == [0]
 
@@ -210,8 +211,8 @@ class TestNaiveSettle:
     def test_matches_free_neighbor_small_degrees(self):
         s = make_state(4)
         add_owned(s, 0, 1)
-        s.free_index[0].insert(1)
-        s.free_index[1].insert(0)
+        index_free(s, 0, 1)
+        index_free(s, 1, 0)
         naive_settle_augmented(s, 0, 0)
         assert s.mate[0] == 1
         assert s.level[0] == s.level[1] == 0
@@ -243,8 +244,8 @@ class TestRandomSettle:
     def test_forced_choice_unmatched_pick(self):
         s = make_state(2, threshold=1, seed=3)
         add_owned(s, 0, 1)
-        s.free_index[0].insert(1)
-        s.free_index[1].insert(0)
+        index_free(s, 0, 1)
+        index_free(s, 1, 0)
         assert random_settle_augmented(s, 0) is None
         assert s.mate[0] == 1
         assert s.level[0] == s.level[1] == 1
@@ -285,7 +286,7 @@ class TestRandomSettle:
         add_owned(s, 4, 2)
         # every free vertex in every neighbor's index, F(2) in order 4, 3, 1
         for free, of in ((4, 2), (3, 2), (1, 2), (1, 3), (2, 1), (3, 1), (2, 3), (2, 4)):
-            s.free_index[of].insert(free)
+            index_free(s, of, free)
         probes = []
         probe = eng.check_3_aug_path
 
@@ -310,8 +311,8 @@ class TestDeterministicRaise:
         add_owned(s, 2, 0)
         add_owned(s, 3, 1)
         match(s, 0, 1)
-        s.free_index[0].insert(2)
-        s.free_index[1].insert(3)
+        index_free(s, 0, 2)
+        index_free(s, 1, 3)
         return s
 
     def test_levels_raised_matching_unchanged(self):
@@ -335,7 +336,7 @@ class TestRandomisedRaise:
         add_owned(s, 0, 1)
         for leaf in (2, 3, 4):
             add_owned(s, leaf, 0)
-            s.free_index[0].insert(leaf)
+            index_free(s, 0, leaf)
         match(s, 0, 1)
         return s
 
@@ -356,7 +357,7 @@ class TestRandomisedRaise:
         # give the old mate its own free neighbor so the trailing settle bites
         s = self.star(1)
         add_owned(s, 5, 1)
-        s.free_index[1].insert(5)
+        index_free(s, 1, 5)
         randomised_raise_level_to_1(s, 0)
         if s.mate[0] != 1:
             assert s.mate[1] is not None
@@ -375,8 +376,8 @@ def path_for_fix(level_v, threshold=None):
         add_owned(s, 1, 2)
         add_owned(s, 3, 2)
     match(s, 1, 2)
-    s.free_index[1].insert(0)
-    s.free_index[2].insert(3)
+    index_free(s, 1, 0)
+    index_free(s, 2, 3)
     return s
 
 
@@ -443,7 +444,7 @@ class TestHandleDeleteLevel1:
         s.level[0] = 1
         for leaf in (1, 2):
             add_owned(s, 0, leaf)
-            s.free_index[0].insert(leaf)
+            index_free(s, 0, leaf)
         handle_delete_level1(s, 0, 0)
         assert s.level[0] == 1 and s.mate[0] is not None
         assert 0 in s.level1_owned
@@ -453,7 +454,7 @@ class TestHandleDeleteLevel1:
         s = make_state(4, threshold=3)
         s.level[0] = 1
         add_owned(s, 0, 1)
-        s.free_index[0].insert(1)
+        index_free(s, 0, 1)
         handle_delete_level1(s, 0, 0)
         assert s.level[0] == 0
         assert s.mate[0] == 1
@@ -577,9 +578,9 @@ def insert_indexing_up_front(s, u, v):
     s.trace = []
     s.add_edge(u, v)
     if s.mate[u] is None:
-        s.free_index[v].insert(u)
+        index_free(s, v, u)
     if s.mate[v] is None:
-        s.free_index[u].insert(v)
+        index_free(s, u, v)
     eng.handle_insert_level0(s, u, v)
 
 
@@ -754,9 +755,10 @@ class UnindexedOnMatch:
 class UpdateMachine(RuleBasedStateMachine):
     """Any interleaving of inserts, deletes and rejected updates keeps the
     state clean, leaves a rejected update's state untouched, keeps every
-    empty container in its allocation-free form, and indexes each vertex in
-    all or none of its neighbors' free indexes: none while matched, and
-    all when free at an update boundary."""
+    empty container in its allocation-free form, never writes into a shared
+    empty nor puts one back in place of a written container, and indexes
+    each vertex in all or none of its neighbors' free indexes: none while
+    matched, and all when free at an update boundary."""
 
     EMPTY_SIZES = {
         IndexableSet: sys.getsizeof(IndexableSet()),
@@ -771,6 +773,9 @@ class UpdateMachine(RuleBasedStateMachine):
     def build(self, n, threshold, seed):
         self.s = State(Config(n=n, threshold=threshold, seed=seed))
         self.s.observer = UnindexedOnMatch(self.s)
+        # vertex -> its written ownership list, and its written free index:
+        # once written, a container keeps its object for good
+        self.written = ({}, {})
 
     def _edges(self, present):
         s = self.s
@@ -848,6 +853,17 @@ class UpdateMachine(RuleBasedStateMachine):
                 if not c:
                     assert c._items == ()
                     assert sys.getsizeof(c) == self.EMPTY_SIZES[type(c)]
+
+    @invariant()
+    def shared_empties_stay_shared_and_empty(self):
+        assert_shared_empties_empty()
+        s = self.s
+        for written, containers, empty in zip(
+            self.written, (s.owners, s.free_index), (EMPTY_OWNED, EMPTY_FREE)
+        ):
+            for v, c in written.items():
+                assert containers[v] is c, f"container of {v} replaced"
+            written.update((v, c) for v, c in enumerate(containers) if c is not empty)
 
 
 TestUpdateMachine = UpdateMachine.TestCase

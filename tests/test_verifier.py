@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dynmatch.verifier
+from conftest import index_free
 from dynmatch import (
     Config,
     OracleLimitError,
@@ -170,8 +171,8 @@ class TestCheckInvariants:
             s.add_edge(u, v)
             s.own_add(u, v)
         match(s, 1, 2)
-        s.free_index[1].insert(0)
-        s.free_index[2].insert(3)
+        index_free(s, 1, 0)
+        index_free(s, 2, 3)
         rep = check_invariants(s)
         assert "5" in rep.ids()
         assert "MAX" not in rep.ids()
@@ -180,8 +181,8 @@ class TestCheckInvariants:
         s = State(Config(n=2))
         s.add_edge(0, 1)
         s.own_add(0, 1)
-        s.free_index[0].insert(1)
-        s.free_index[1].insert(0)
+        index_free(s, 0, 1)
+        index_free(s, 1, 0)
         rep = check_invariants(s)
         assert "MAX" in rep.ids()
         assert "1b" in rep.ids()
@@ -189,16 +190,16 @@ class TestCheckInvariants:
     def test_double_ownership_reported(self):
         s = State(Config(n=2))
         s.add_edge(0, 1)
-        s.owners[0].add(1)
-        s.owners[1].add(0)
+        s.own_add(0, 1)
+        s.own_add(1, 0)
         rep = check_invariants(s)
         assert "OWN" in rep.ids()
 
     def test_unowned_edge_reported(self):
         s = State(Config(n=2))
         s.add_edge(0, 1)
-        s.free_index[0].insert(1)
-        s.free_index[1].insert(0)
+        index_free(s, 0, 1)
+        index_free(s, 1, 0)
         rep = check_invariants(s)
         assert "OWN" in rep.ids()
 
@@ -211,7 +212,7 @@ class TestCheckInvariants:
         match(s, 1, 2)
         s.level[1] = 1
         s.level[2] = 1
-        s.free_index[1].insert(0)
+        index_free(s, 1, 0)
         rep = check_invariants(s)
         assert "OWN" in rep.ids()
 
@@ -219,9 +220,9 @@ class TestCheckInvariants:
         s = State(Config(n=3))
         s.add_edge(0, 1)
         s.own_add(0, 1)
-        s.free_index[0].insert(1)
-        s.free_index[1].insert(0)
-        s.free_index[2].insert(1)  # 1 is not a neighbor of 2
+        index_free(s, 0, 1)
+        index_free(s, 1, 0)
+        index_free(s, 2, 1)  # 1 is not a neighbor of 2
         rep = check_invariants(s)
         assert "F" in rep.ids()
 
@@ -234,7 +235,7 @@ class TestCheckInvariants:
         s.add_edge(1, 2)
         s.own_add(1, 2)
         match(s, 0, 1)
-        s.free_index[1].insert(2)
+        index_free(s, 1, 2)
         assert check_invariants(s).ok
         return s
 
@@ -301,8 +302,8 @@ class TestCheckInvariants:
             s.add_edge(0, v)
             s.own_add(0, v)
         match(s, 0, 1)
-        s.free_index[0].insert(2)
-        s.free_index[0].insert(3)
+        index_free(s, 0, 2)
+        index_free(s, 0, 3)
         rep = check_invariants(s)
         assert "3" in rep.ids()  # deg(0)=3 >= 2, matched at level 0
         assert "2" in rep.ids()  # |O_0|=3 >= 2 at level 0
@@ -311,7 +312,7 @@ class TestCheckInvariants:
         s = State(Config(n=3, threshold=1))
         s.add_edge(0, 1)
         s.own_add(0, 1)
-        s.free_index[0].insert(1)
+        index_free(s, 0, 1)
         s.mate[0] = 0
         rep = check_invariants(s)
         assert rep.ids() == {"SYM", "2"}  # |O_0|=1 >= 1 at level 0
@@ -367,11 +368,11 @@ def _drop_owned(s, uw):
 
 
 def _add_reverse_owned(s, uw):
-    s.owners[uw[1]].add(uw[0])
+    s.own_add(uw[1], uw[0])
 
 
 def _index_matched(s, uw):
-    s.free_index[uw[1]].insert(uw[0])
+    index_free(s, uw[1], uw[0])
 
 
 def _drop_index_entry(s, wf):
@@ -388,7 +389,7 @@ def _free_at_non_neighbors(s):
 
 
 def _index_at_non_neighbor(s, wf):
-    s.free_index[wf[0]].insert(wf[1])
+    index_free(s, wf[0], wf[1])
 
 
 # name: (targets in a state, corruption of one target, the invariant broken)

@@ -9,8 +9,10 @@ to the package breaks the benchmark's traced run (``--trace 1``).
 
 The counts depend only on the engine's trajectory and on where it indexes a
 free vertex, not on a timer, so they guard free-index upkeep against
-regression on any box.  A pin moves only with an intended change to that
-work: such a change updates the constants below and says why.
+regression on any box.  The same holds for the number of ownership lists and
+free indexes a pass writes, each of which costs an allocation that a vertex
+never written does not make.  A pin moves only with an intended change to
+that work: such a change updates the constants below and says why.
 """
 
 from array import array
@@ -18,6 +20,7 @@ from array import array
 import pytest
 
 from dynmatch import workload
+from dynmatch.core import EMPTY_FREE, EMPTY_OWNED
 
 SEED = 1
 
@@ -41,3 +44,26 @@ def test_free_index_calls_pinned(name, dmbench):
     assert calls == PINNED_FREE_INDEX_CALLS[name]
     # every delete_from_f_list call erases an entry
     assert layer["engine.delete_from_f_list.noop_calls"] == 0
+
+
+# (ownership lists, free indexes) written in a pass, the rest staying the
+# shared empties; of n = 4096 and n = 256 vertices
+PINNED_WRITTEN_CONTAINERS = {
+    "sparse-large": (2_451, 1_363),
+    "star-churn": (256, 256),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_WRITTEN_CONTAINERS))
+def test_written_containers_pinned(name, dmbench):
+    spec = dmbench.workloads.spec_for(name, smoke=True)
+    seq, state = dmbench.replay.parse_and_build(dmbench.workloads.make_text(spec, SEED), SEED)
+    largest, checks = dmbench.workloads.checkpoints(seq.ops)
+    times = array("q", bytes(8 * len(seq.ops)))
+    res = dmbench.replay.replay(seq, state, checks, largest, times)
+    assert res.failed == 0, res.error
+    written = (
+        sum(o is not EMPTY_OWNED for o in state.owners),
+        sum(f is not EMPTY_FREE for f in state.free_index),
+    )
+    assert written == PINNED_WRITTEN_CONTAINERS[name]
