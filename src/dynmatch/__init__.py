@@ -6,7 +6,7 @@ independent invariant verifier, an exact small-instance oracle, workload
 generators, and epoch-level metrics.
 """
 
-from .core import Config, FreeNeighborIndex, IndexableSet, State, default_threshold
+from .core import Config, IndexableSet, State, default_threshold
 from .engine import (
     PROCEDURE_NAMES,
     apply_update,
@@ -42,7 +42,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Config",
     "State",
-    "FreeNeighborIndex",
     "IndexableSet",
     "default_threshold",
     "PROCEDURE_NAMES",

@@ -25,8 +25,13 @@ def _cmd_gen(args) -> int:
         if args.t is None:
             print("gen: --t is required for --pattern random", file=sys.stderr)
             return 2
-        seq = workload.gen_random(args.n, args.t, args.p_insert, args.seed)
+        p_insert = 0.6 if args.p_insert is None else args.p_insert
+        seq = workload.gen_random(args.n, args.t, p_insert, args.seed)
     else:
+        for flag, value in (("--t", args.t), ("--p-insert", args.p_insert)):
+            if value is not None:
+                print(f"gen: {flag} applies to --pattern random only", file=sys.stderr)
+                return 2
         seq = workload.gen_named(args.pattern, args.n, args.seed)
     text = workload.serialize(seq)
     if args.out == "-":
@@ -148,7 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n", type=_int_at_least(1), required=True)
     p_gen.add_argument("--t", type=int, default=None,
                        help="number of ops (random pattern only)")
-    p_gen.add_argument("--p-insert", type=float, default=0.6)
+    p_gen.add_argument("--p-insert", type=float, default=None,
+                       help="insert probability (random pattern only; default 0.6)")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", default="-")
 

@@ -2,18 +2,19 @@
 
 Holds the graph adjacency, the matching (mate map), the two-level vertex
 partition, per-vertex ownership lists, and per-vertex free-neighbor indexes.
-Both per-vertex containers are dicts mapping each member to its slot in a
-dense list, so membership and size are C-level dict operations.  All
-update-time operations here are O(1), ``get_free`` included.  Update logic
-lives in :mod:`dynmatch.engine`.
+Both per-vertex containers are one type, :class:`IndexableSet`: a dict
+mapping each member to its slot in a dense list, so membership and size are
+C-level dict operations.  All update-time operations here are O(1),
+``sample`` and ``get_free`` included.  Update logic lives in
+:mod:`dynmatch.engine`.
 
 A vertex with nothing allocates nothing.  A vertex with no edge has the
 shared :data:`EMPTY_ADJ` as its adjacency, and a vertex whose ownership
-list or free index was never written has the shared :data:`EMPTY_OWNED` or
-:data:`EMPTY_FREE`.  The first write to a vertex's container replaces the
-shared empty with a fresh one, which keeps its object from then on: a
-container that empties again holds ``()`` as its dense list and no dict key
-table.  So a fresh state costs three list slots per vertex and no object.
+list or free index was never written has the one shared :data:`EMPTY_SET`.
+The first write to a vertex's container replaces the shared empty with a
+fresh one, which keeps its object from then on: a container that empties
+again holds ``()`` as its dense list and no dict key table.  So a fresh
+state costs three list slots per vertex and no object.
 
 The free indexes follow one rule, which the engine keeps: a vertex sits in
 all of its neighbors' indexes or in none.  So one membership test says
@@ -67,12 +68,14 @@ class Config:
 
 
 class IndexableSet(dict):
-    """Set of hashable members with O(1) add/remove/contains and O(1) uniform
-    sampling.
+    """Set of hashable members with O(1) add/remove/contains and O(1) draws:
+    ``sample`` draws a uniform member, ``get_free`` any member.
 
+    The one per-vertex set type: ownership lists use ``add``/``remove``/
+    ``sample``, and free-neighbor indexes ``insert``/``delete``/``get_free``.
     The dict maps each member to its slot in the dense list ``_items``, so
     ``in``, ``len`` and truthiness are the dict's own C-level operations.
-    The list backs the sampling; removal swaps the victim with the last list
+    The list backs the draws; removal swaps the victim with the last list
     element so both structures stay consistent without shifting.  Iteration
     yields the members in dense-list order.
 
@@ -113,74 +116,43 @@ class IndexableSet(dict):
             self._items = ()
             self.clear()
 
+    # The free-index names of add/remove: the benchmark's tracer and its
+    # pinned call counts count free-index calls under these names, apart
+    # from the ownership lists' add/remove.
+    insert = add
+    delete = remove
+
     def sample(self, rng: random.Random) -> Hashable:
         return self._items[rng.randrange(len(self))]
 
-
-class FreeNeighborIndex(IndexableSet):
-    """Free-neighbor index F(v) for one vertex: an :class:`IndexableSet`
-    that also answers ``get_free``.
-
-    ``insert``, ``delete`` and ``get_free`` are all O(1); ``len`` and
-    truthiness answer "how many" and "any" at C level.  ``insert`` does
-    what ``add`` does (an absent member, not checked) and ``delete`` what
-    ``remove`` does (a present member; an absent one raises ``KeyError``).
-    ``get_free`` hands back the last member of the dense list other than
-    the one it is told to skip: the analysis only needs *some* free
-    neighbor.
-
-    The engine indexes a vertex in all its neighbors' indexes or in none,
-    so one membership test answers whether a vertex is indexed anywhere.
-    """
-
-    __slots__ = ()
-
-    # Copies of ``add``/``remove``, not aliases: CPython's per-code-object
-    # caches then see one type each instead of missing on two.
-    def insert(self, x: int) -> None:
-        items = self._items
-        if items:
-            self[x] = len(items)
-            items.append(x)
-        else:
-            self[x] = 0
-            self._items = [x]
-
-    def delete(self, x: int) -> None:
-        pos = self.pop(x)
-        items = self._items
-        last = items.pop()
-        if last != x:
-            items[pos] = last
-            self[last] = pos
-        elif not items:
-            self._items = ()
-            self.clear()
-
     def get_free(self, skip: int | None = None) -> int | None:
-        """The last member of the dense list other than ``skip``, or None."""
+        """The last member of the dense list other than ``skip``, or None:
+        the analysis only needs *some* free neighbor."""
         items = self._items
         if items and items[-1] != skip:
             return items[-1]
         return items[-2] if len(items) > 1 else None
 
 
+# Not a public name: kept only because the benchmark's tracer looks up the
+# free index's methods on this attribute.
+FreeNeighborIndex = IndexableSet
+
 # Ownership list and free index of every vertex whose container was never
-# written.  Shared by every state in the process, so nothing may write into
-# them: a writer swaps in a fresh container first (``State.own_add``, and
-# the engine's ``insert_to_f_list`` and ``insert_edge``).
-EMPTY_OWNED: IndexableSet = IndexableSet()
-EMPTY_FREE: FreeNeighborIndex = FreeNeighborIndex()
+# written.  Shared by both lists of every state in the process, so nothing
+# may write into it: a writer swaps in a fresh set first (``State.own_add``,
+# and the engine's ``insert_to_f_list`` and ``insert_edge``).
+EMPTY_SET: IndexableSet = IndexableSet()
 
 
 class State:
     """Complete algorithm state over a fixed vertex set [0, n).
 
     Starts as the empty graph: every vertex free, at level 0, owning
-    nothing, with the shared :data:`EMPTY_ADJ`, :data:`EMPTY_OWNED` and
-    :data:`EMPTY_FREE` as its containers until the first write to each.
-    Readers take a shared empty as the empty container it is.  ``trace``
-    collects the procedure calls of the current update.
+    nothing, with the shared :data:`EMPTY_ADJ` as its adjacency and the
+    shared :data:`EMPTY_SET` as its ownership list and free index until the
+    first write to each.  Readers take a shared empty as the empty container
+    it is.  ``trace`` collects the procedure calls of the current update.
     """
 
     def __init__(self, config: Config) -> None:
@@ -190,8 +162,8 @@ class State:
         self.adj: list[set[int] | frozenset[int]] = [EMPTY_ADJ] * n
         self.mate: list[int | None] = [None] * n
         self.level: list[int] = [0] * n
-        self.owners: list[IndexableSet] = [EMPTY_OWNED] * n
-        self.free_index: list[FreeNeighborIndex] = [EMPTY_FREE] * n
+        self.owners: list[IndexableSet] = [EMPTY_SET] * n
+        self.free_index: list[IndexableSet] = [EMPTY_SET] * n
         # Level-1 target sets: only a vertex that handle_delete_level1
         # re-raised at once holds one, a superset of its owned targets at
         # level 1, so its next drop skips the scan of its whole list.
@@ -243,9 +215,9 @@ class State:
 
     def own_add(self, owner: int, other: int) -> None:
         """Charge edge (owner, other), which has no owner yet, to owner;
-        owner's first owned edge replaces EMPTY_OWNED."""
+        owner's first owned edge replaces EMPTY_SET."""
         owned = self.owners[owner]
-        if owned is EMPTY_OWNED:
+        if owned is EMPTY_SET:
             owned = self.owners[owner] = IndexableSet()
         owned.add(other)
 

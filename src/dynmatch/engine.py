@@ -45,15 +45,16 @@ a no-op.  A new edge between two free vertices indexes neither:
 :func:`insert_edge` unindexes both before the edge joins their adjacency,
 and ``handle_insert_level0`` matches them.
 
-A free index is the shared :data:`~dynmatch.core.EMPTY_FREE` until its
-first entry: :func:`insert_to_f_list` and :func:`insert_edge`, the only
-places that add an entry, swap in a fresh index first and never put the
-shared one back.
+A free index is the shared :data:`~dynmatch.core.EMPTY_SET`, the empty
+that ownership lists share too, until its first entry:
+:func:`insert_to_f_list` and :func:`insert_edge`, the only places that add
+an entry, swap in a fresh :class:`~dynmatch.core.IndexableSet` first and
+never put the shared one back.
 """
 
 from __future__ import annotations
 
-from .core import EMPTY_FREE, FreeNeighborIndex, State
+from .core import EMPTY_SET, IndexableSet, State
 
 PROCEDURE_NAMES = (
     "naive_settle_augmented",
@@ -183,12 +184,12 @@ def take_ownership(state: State, u: int) -> None:
 
 def insert_to_f_list(state: State, u: int) -> None:
     """Record u as free in every neighbor's index; a neighbor's first entry
-    replaces EMPTY_FREE."""
+    replaces EMPTY_SET."""
     free_index = state.free_index
     for w in state.adj[u]:
         fi = free_index[w]
-        if fi is EMPTY_FREE:
-            fi = free_index[w] = FreeNeighborIndex()
+        if fi is EMPTY_SET:
+            fi = free_index[w] = IndexableSet()
         fi.insert(u)
 
 
@@ -487,32 +488,26 @@ def insert_edge(state: State, u: int, v: int) -> list[tuple]:
     if obs is not None:
         obs.on_update_begin(state.update_index, "+", u, v)
     mate = state.mate
-    if mate[u] is None:
-        if mate[v] is None:
-            # Both free, so both at level 0 with no free neighbor: the only
-            # repair is handle_insert_level0's _match(u, v).  Unindex them
-            # now, while the new edge is not yet in either adjacency; a
-            # vertex free at the start of an update is indexed exactly when
-            # it has an edge.
-            adj = state.adj
-            if adj[u]:
-                delete_from_f_list(state, u)
-            if adj[v]:
-                delete_from_f_list(state, v)
-            state.add_edge(u, v)
-        else:
-            state.add_edge(u, v)
-            fi = state.free_index[v]
-            if fi is EMPTY_FREE:
-                fi = state.free_index[v] = FreeNeighborIndex()
-            fi.insert(u)
-    else:
-        state.add_edge(u, v)
-        if mate[v] is None:
-            fi = state.free_index[u]
-            if fi is EMPTY_FREE:
-                fi = state.free_index[u] = FreeNeighborIndex()
-            fi.insert(v)
+    free_u = mate[u] is None
+    free_v = mate[v] is None
+    if free_u and free_v:
+        # Both free, so both at level 0 with no free neighbor: the only
+        # repair is handle_insert_level0's _match(u, v).  Unindex them now,
+        # while the new edge is not yet in either adjacency; a vertex free
+        # at the start of an update is indexed exactly when it has an edge.
+        adj = state.adj
+        if adj[u]:
+            delete_from_f_list(state, u)
+        if adj[v]:
+            delete_from_f_list(state, v)
+    state.add_edge(u, v)
+    if free_u != free_v:
+        # index the free endpoint x at its matched neighbor y
+        x, y = (u, v) if free_u else (v, u)
+        fi = state.free_index[y]
+        if fi is EMPTY_SET:
+            fi = state.free_index[y] = IndexableSet()
+        fi.insert(x)
     lu, lv = state.level[u], state.level[v]
     if lu == 1 and lv == 1:
         owner, other = (u, v) if u < v else (v, u)

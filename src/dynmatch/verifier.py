@@ -1,7 +1,8 @@
 """Independent checker for the dynamic matching state.
 
 Everything here recomputes freeness, degrees, and augmenting paths from the
-adjacency and mate map alone; nothing trusts the engine's cached views.
+adjacency and mate map alone, and checks the engine's cached counters
+against them; nothing trusts the engine's cached views.
 The exact-optimum oracle is an exponential search restricted to small
 instances and exists purely to validate matching quality in tests.
 """
@@ -97,8 +98,11 @@ def check_invariants(state: State) -> ViolationReport:
     index, and the total of index sizes must equal the number of
     (vertex, free neighbor) pairs, so every F(w) is exactly w's free
     neighbors: a free vertex sits in all its neighbors' indexes and a
-    matched one in none.  Set operations are guarded by ``isdisjoint`` or
-    ``<=``, so a set is built only to name a violation.
+    matched one in none.  The engine's counters are checked too:
+    ``edge_count`` against the adjacency and the owned entries (OWN), and
+    twice ``matching_size`` against the matched vertices (SYM).  Set
+    operations are guarded by ``isdisjoint`` or ``<=``, so a set is built
+    only to name a violation.
     """
     n = state.config.n
     threshold = state.threshold
@@ -175,14 +179,16 @@ def check_invariants(state: State) -> ViolationReport:
     path = _first_3_aug_path(adj, mate, free)
     if path is not None:
         add(Violation("5", path, "length-3 augmenting path"))
-    if total_owned != state.edge_count:
-        add(
-            Violation(
-                "OWN",
-                (),
-                f"{total_owned} owned entries for {state.edge_count} edges",
-            )
-        )
+    # The engine's two counters against what they count.
+    edge_count = state.edge_count
+    edges = sum(map(len, adj)) // 2
+    if edge_count != edges:
+        add(Violation("OWN", (), f"edge count {edge_count}, adjacency holds {edges} edges"))
+    if total_owned != edge_count:
+        add(Violation("OWN", (), f"{total_owned} owned entries for {edge_count} edges"))
+    size, matched = state.matching_size, n - len(free)
+    if 2 * size != matched:
+        add(Violation("SYM", (), f"matching size {size}, {matched} matched vertices"))
     if actual_pairs != expected_pairs:
         add(
             Violation(

@@ -3,38 +3,36 @@ from pathlib import Path
 
 import pytest
 
-from dynmatch.core import EMPTY_FREE, EMPTY_OWNED, FreeNeighborIndex
+from dynmatch.core import EMPTY_SET, IndexableSet
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def index_free(s, w, u):
     """Put u in F(w) as the engine does: w's first entry replaces the
-    shared EMPTY_FREE with a fresh index."""
+    shared EMPTY_SET with a fresh set."""
     fi = s.free_index[w]
-    if fi is EMPTY_FREE:
-        fi = s.free_index[w] = FreeNeighborIndex()
+    if fi is EMPTY_SET:
+        fi = s.free_index[w] = IndexableSet()
     fi.insert(u)
 
 
-def assert_shared_empties_empty():
-    """Every state in the process shares EMPTY_OWNED and EMPTY_FREE, so a
-    write into either corrupts every vertex that was never written."""
-    for empty in (EMPTY_OWNED, EMPTY_FREE):
-        assert not empty and empty._items == (), f"shared empty written: {empty!r}"
+def assert_shared_set_empty():
+    """Every state in the process shares EMPTY_SET, so a write into it
+    corrupts every container that was never written."""
+    assert not EMPTY_SET and EMPTY_SET._items == (), f"shared empty written: {EMPTY_SET!r}"
 
 
 @pytest.fixture(autouse=True)
-def shared_empties_stay_empty():
-    """Fail the test that writes into a shared empty container, and put the
-    empties back so that later tests run on an intact structure."""
+def shared_set_stays_empty():
+    """Fail the test that writes into the shared empty container, and empty
+    it again so that later tests run on an intact structure."""
     yield
     try:
-        assert_shared_empties_empty()
+        assert_shared_set_empty()
     finally:
-        for empty in (EMPTY_OWNED, EMPTY_FREE):
-            empty.clear()
-            empty._items = ()
+        EMPTY_SET.clear()
+        EMPTY_SET._items = ()
 
 
 @pytest.fixture(scope="session")

@@ -38,6 +38,22 @@ class TestGen:
                    "--out", str(tmp_path / "x.seq")])
         assert rc == 2
 
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    @pytest.mark.parametrize("extra", (["--t", "3"], ["--p-insert", "0.9"]))
+    def test_named_pattern_rejects_random_only_args(self, tmp_path, capsys, pattern, extra):
+        out = tmp_path / "x.seq"
+        rc = main(["gen", "--pattern", pattern, "--n", "5", *extra, "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert f"gen: {extra[0]} applies to --pattern random only" in capsys.readouterr().err
+
+    def test_gen_random_p_insert_defaults_to_0_6(self, tmp_path):
+        outs = [tmp_path / "default.seq", tmp_path / "explicit.seq"]
+        for out, extra in zip(outs, ([], ["--p-insert", "0.6"])):
+            rc = main(["gen", "--n", "8", "--t", "50", *extra, "--out", str(out)])
+            assert rc == 0
+        assert outs[0].read_text() == outs[1].read_text()
+
     @pytest.mark.parametrize("pattern", ("random",) + PATTERNS)
     def test_zero_vertices_is_exit_2(self, tmp_path, capsys, pattern):
         out = tmp_path / "x.seq"

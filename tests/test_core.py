@@ -7,16 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dynmatch
 from conftest import index_free
 from dynmatch import (
     Config,
-    FreeNeighborIndex,
     IndexableSet,
     State,
     check_invariants,
     default_threshold,
 )
-from dynmatch.core import EMPTY_ADJ, EMPTY_FREE, EMPTY_OWNED
+from dynmatch.core import EMPTY_ADJ, EMPTY_SET, FreeNeighborIndex
 from dynmatch.engine import _match, _unmatch, delete_edge, insert_edge
 
 
@@ -88,13 +88,14 @@ class TestEmptyContainers:
 
     def test_containers_are_shared_empties_until_written(self):
         s = make_state(4)
-        assert all(o is EMPTY_OWNED for o in s.owners)
-        assert all(f is EMPTY_FREE for f in s.free_index)
+        # one empty serves every slot of both lists
+        assert type(EMPTY_SET) is IndexableSet
+        assert all(c is EMPTY_SET for c in s.owners + s.free_index)
         insert_edge(s, 0, 1)
         insert_edge(s, 1, 2)  # 2 is free at matched 1: F(1)'s first entry
-        owners = [v for v in range(4) if s.owners[v] is not EMPTY_OWNED]
+        owners = [v for v in range(4) if s.owners[v] is not EMPTY_SET]
         assert owners == [v for v in range(4) if s.owners[v]]
-        assert [v for v in range(4) if s.free_index[v] is not EMPTY_FREE] == [1]
+        assert [v for v in range(4) if s.free_index[v] is not EMPTY_SET] == [1]
         written = list(s.owners), list(s.free_index)
         delete_edge(s, 1, 2)
         delete_edge(s, 0, 1)
@@ -108,12 +109,11 @@ class TestEmptyContainers:
         insert_edge(s, 1, 2)
         delete_edge(s, 1, 2)
         delete_edge(s, 0, 1)
-        fresh_owners = sys.getsizeof(IndexableSet())
-        fresh_index = sys.getsizeof(FreeNeighborIndex())
+        fresh = sys.getsizeof(IndexableSet())
         for v in (0, 1, 2):
             assert s.owners[v]._items == () and s.free_index[v]._items == ()
-            assert sys.getsizeof(s.owners[v]) == fresh_owners
-            assert sys.getsizeof(s.free_index[v]) == fresh_index
+            assert sys.getsizeof(s.owners[v]) == fresh
+            assert sys.getsizeof(s.free_index[v]) == fresh
             # the last edge's removal puts the shared sentinel back
             assert s.adj[v] is EMPTY_ADJ
         insert_edge(s, 0, 2)
@@ -121,13 +121,16 @@ class TestEmptyContainers:
 
 
 class TestFreeNeighborIndex:
+    """An :class:`IndexableSet` in its free-index role: ``insert``,
+    ``delete`` and ``get_free``."""
+
     def test_empty_has_free_false(self):
         s = make_state(4)
         assert not s.free_index[0]
         assert s.free_index[0].get_free() is None
 
     def test_get_free_returns_member(self):
-        fni = FreeNeighborIndex()
+        fni = IndexableSet()
         fni.insert(7)
         fni.insert(3)
         assert fni.get_free() in {3, 7}
@@ -147,7 +150,7 @@ class TestFreeNeighborIndex:
         ],
     )
     def test_get_free_skip(self, members, skip, expected):
-        fni = FreeNeighborIndex()
+        fni = IndexableSet()
         for x in members:
             fni.insert(x)
         assert fni.get_free(skip) == expected
@@ -184,8 +187,8 @@ class TestFreeNeighborIndex:
         assert not any(s.free_index)
 
     def test_get_free_deterministic_for_same_history(self):
-        a = FreeNeighborIndex()
-        b = FreeNeighborIndex()
+        a = IndexableSet()
+        b = IndexableSet()
         for fni in (a, b):
             for x in (9, 2, 14):
                 fni.insert(x)
@@ -306,11 +309,22 @@ class TestProtocol:
     ``__contains__`` or ``__len__`` here would add a call to every ownership
     test and free-index probe on the update path."""
 
-    @pytest.mark.parametrize("cls", [IndexableSet, FreeNeighborIndex])
+    @pytest.mark.parametrize(
+        "cls", [IndexableSet, FreeNeighborIndex], ids=["IndexableSet", "FreeNeighborIndex"]
+    )
     def test_membership_and_size_are_dict_slots(self, cls):
         assert cls.__contains__ is dict.__contains__
         assert cls.__len__ is dict.__len__
         assert not hasattr(cls, "__bool__")
+
+    def test_one_set_type_under_both_names(self):
+        """Ownership lists and free indexes are one class.  The free-index
+        names are aliases, not copies, so no method body is duplicated;
+        ``FreeNeighborIndex`` is a module alias and no public name."""
+        assert IndexableSet.insert is IndexableSet.add
+        assert IndexableSet.delete is IndexableSet.remove
+        assert dynmatch.core.FreeNeighborIndex is IndexableSet
+        assert "FreeNeighborIndex" not in dynmatch.__all__
 
 
 class TestOwnership:

@@ -13,10 +13,9 @@ from hypothesis.stateful import (
 )
 
 import dynmatch.engine as eng
-from conftest import assert_shared_empties_empty, index_free
+from conftest import assert_shared_set_empty, index_free
 from dynmatch import (
     Config,
-    FreeNeighborIndex,
     IndexableSet,
     State,
     check_invariants,
@@ -25,7 +24,7 @@ from dynmatch import (
     gen_random,
     replay,
 )
-from dynmatch.core import EMPTY_ADJ, EMPTY_FREE, EMPTY_OWNED
+from dynmatch.core import EMPTY_ADJ, EMPTY_SET
 from dynmatch.engine import (
     apply_update,
     check_3_aug_path,
@@ -536,13 +535,13 @@ class TestInsert:
         assert s.free_index[1]._items == [4, 6, 7]
         assert s.free_index[3]._items == [5]
         inserted = []
-        insert = FreeNeighborIndex.insert
+        insert = IndexableSet.insert
 
         def counted(fi, u):
             inserted.append(u)
             insert(fi, u)
 
-        monkeypatch.setattr(FreeNeighborIndex, "insert", counted)
+        monkeypatch.setattr(IndexableSet, "insert", counted)
         insert_edge(s, 4, 5)
         monkeypatch.undo()
         insert_indexing_up_front(ref, 4, 5)
@@ -755,15 +754,13 @@ class UnindexedOnMatch:
 class UpdateMachine(RuleBasedStateMachine):
     """Any interleaving of inserts, deletes and rejected updates keeps the
     state clean, leaves a rejected update's state untouched, keeps every
-    empty container in its allocation-free form, never writes into a shared
-    empty nor puts one back in place of a written container, and indexes
-    each vertex in all or none of its neighbors' free indexes: none while
-    matched, and all when free at an update boundary."""
+    empty container in its allocation-free form, never writes into the shared
+    empty nor puts it back in place of a written container, writes every
+    container as an IndexableSet, and indexes each vertex in all or none of
+    its neighbors' free indexes: none while matched, and all when free at an
+    update boundary."""
 
-    EMPTY_SIZES = {
-        IndexableSet: sys.getsizeof(IndexableSet()),
-        FreeNeighborIndex: sys.getsizeof(FreeNeighborIndex()),
-    }
+    EMPTY_SIZE = sys.getsizeof(IndexableSet())
 
     @initialize(
         n=st.integers(2, 12),
@@ -852,18 +849,18 @@ class UpdateMachine(RuleBasedStateMachine):
             for c in (s.owners[v], s.free_index[v]):
                 if not c:
                     assert c._items == ()
-                    assert sys.getsizeof(c) == self.EMPTY_SIZES[type(c)]
+                    assert sys.getsizeof(c) == self.EMPTY_SIZE
 
     @invariant()
-    def shared_empties_stay_shared_and_empty(self):
-        assert_shared_empties_empty()
+    def shared_empty_stays_shared_and_empty(self):
+        assert_shared_set_empty()
         s = self.s
-        for written, containers, empty in zip(
-            self.written, (s.owners, s.free_index), (EMPTY_OWNED, EMPTY_FREE)
-        ):
+        for written, containers in zip(self.written, (s.owners, s.free_index)):
             for v, c in written.items():
                 assert containers[v] is c, f"container of {v} replaced"
-            written.update((v, c) for v, c in enumerate(containers) if c is not empty)
+            written.update((v, c) for v, c in enumerate(containers) if c is not EMPTY_SET)
+            # one set type: every written container of either list
+            assert all(type(c) is IndexableSet for c in written.values())
 
 
 TestUpdateMachine = UpdateMachine.TestCase
@@ -1062,7 +1059,7 @@ def test_every_free_index_call_does_work(key, monkeypatch):
     """The engine inserts into a free index only members it lacks and
     deletes only members it holds: no index call is a no-op."""
     calls = {"insert": 0, "delete": 0}
-    insert, delete = FreeNeighborIndex.insert, FreeNeighborIndex.delete
+    insert, delete = IndexableSet.insert, IndexableSet.delete
 
     def exact_insert(fi, u):
         assert u not in fi, u
@@ -1074,8 +1071,8 @@ def test_every_free_index_call_does_work(key, monkeypatch):
         calls["delete"] += 1
         delete(fi, u)
 
-    monkeypatch.setattr(FreeNeighborIndex, "insert", exact_insert)
-    monkeypatch.setattr(FreeNeighborIndex, "delete", exact_delete)
+    monkeypatch.setattr(IndexableSet, "insert", exact_insert)
+    monkeypatch.setattr(IndexableSet, "delete", exact_delete)
     s, ops = _pinned_run(key)
     result = replay(s, ops, verify_every=len(ops))
     assert result.report is None, result.report.to_text()

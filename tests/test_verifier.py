@@ -316,7 +316,8 @@ class TestCheckInvariants:
         s.mate[0] = 0
         rep = check_invariants(s)
         assert rep.ids() == {"SYM", "2"}  # |O_0|=1 >= 1 at level 0
-        assert [v.subject for v in rep.violations] == [(0,), (0,)]
+        # one matched vertex: no matching size counts it
+        assert [v.subject for v in rep.violations] == [(0,), (0,), ()]
 
     def test_level_mismatch_reported(self):
         s = State(Config(n=2))
@@ -379,6 +380,21 @@ def _drop_index_entry(s, wf):
     s.free_index[wf[0]].delete(wf[1])
 
 
+def _drop_owned_and_count(s, uw):
+    """Forget the edge in its owner's list and in ``edge_count``, but not
+    in the adjacency: the owned entries still cover the count."""
+    _drop_owned(s, uw)
+    s.edge_count -= 1
+
+
+def _miscounts(s):
+    return [-1, 1, 5]
+
+
+def _miscount_matching(s, k):
+    s.matching_size += k
+
+
 def _free_at_non_neighbors(s):
     return [
         (w, f)
@@ -397,6 +413,9 @@ CORRUPTIONS = {
     "free vertex at level 1": (_free, _raise_free, "1a"),
     "asymmetric mate": (_matched, _forget_mate, "SYM"),
     "owned entry dropped": (_owned, _drop_owned, "OWN"),
+    # caught only by the engine's counters against the adjacency and mates
+    "owned entry and edge count dropped": (_owned, _drop_owned_and_count, "OWN"),
+    "matching size miscounted": (_miscounts, _miscount_matching, "SYM"),
     "reverse owned entry added": (_owned, _add_reverse_owned, "OWN"),
     "matched vertex indexed": (_matched_in_neighborhood, _index_matched, "F"),
     "index entry removed": (_index_entries, _drop_index_entry, "F"),

@@ -3,7 +3,7 @@
 Each smoke workload is replayed at seed 1 through the benchmark's own traced
 pass, ``dmbench.tracing.traced_pass``, from the same serialized text and the
 same fresh state the benchmark builds.  The traced pass wraps every layer's
-public functions, ``FreeNeighborIndex.insert``/``delete``/``get_free``
+public functions, the free index's ``insert``/``delete``/``get_free``
 included, and writes no spans file; so this test also fails when a change
 to the package breaks the benchmark's traced run (``--trace 1``).
 
@@ -20,11 +20,11 @@ from array import array
 import pytest
 
 from dynmatch import workload
-from dynmatch.core import EMPTY_FREE, EMPTY_OWNED
+from dynmatch.core import EMPTY_SET
 
 SEED = 1
 
-# (FreeNeighborIndex.insert calls, FreeNeighborIndex.delete calls)
+# (free-index insert calls, free-index delete calls)
 PINNED_FREE_INDEX_CALLS = {
     # an insert between two free vertices indexes neither
     "sparse-large": (2_283, 1_897),
@@ -63,7 +63,7 @@ def test_written_containers_pinned(name, dmbench):
     res = dmbench.replay.replay(seq, state, checks, largest, times)
     assert res.failed == 0, res.error
     written = (
-        sum(o is not EMPTY_OWNED for o in state.owners),
-        sum(f is not EMPTY_FREE for f in state.free_index),
+        sum(o is not EMPTY_SET for o in state.owners),
+        sum(f is not EMPTY_SET for f in state.free_index),
     )
     assert written == PINNED_WRITTEN_CONTAINERS[name]
