@@ -59,10 +59,14 @@ class Config:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int:
+            raise ValueError(f"vertex count must be an int, got {self.n!r}")
         if self.n < 1:
             raise ValueError(f"vertex count must be >= 1, got {self.n}")
         if self.threshold is None:
             self.threshold = default_threshold(self.n)
+        elif type(self.threshold) is not int:
+            raise ValueError(f"threshold must be an int, got {self.threshold!r}")
         elif self.threshold < 1:
             raise ValueError(f"threshold must be >= 1, got {self.threshold}")
 
@@ -180,6 +184,8 @@ class State:
         return self.config.n
 
     def check_vertex(self, v: int) -> None:
+        if type(v) is not int:
+            raise ValueError(f"vertex id must be an int, got {v!r}")
         if not 0 <= v < self.config.n:
             raise ValueError(f"vertex {v} out of range [0, {self.config.n})")
 

@@ -212,25 +212,24 @@ class RunStats:
 
         return on_update
 
-    def totals(self) -> dict:
-        inserts = sum(1 for r in self.rows if r[1] == "+")
-        return {
-            "updates": len(self.rows),
-            "inserts": inserts,
-            "deletes": len(self.rows) - inserts,
-            "final_matching_size": self.final_matching_size,
-            "final_edge_count": self.final_edge_count,
-            "max_trace_len": max((r[4] for r in self.rows), default=0),
-            "procedure_calls": dict(sorted(self.procedures.items())),
-        }
-
-    def to_dict(self) -> dict:
+    def sections(self) -> dict:
+        """The export's deterministic sections in document order: config,
+        workload and totals, then epochs and epoch_sets when a tracker is
+        attached.  Builds no per-update structure."""
+        rows = self.rows
+        inserts = sum(1 for r in rows if r[1] == "+")
         d = {
-            "schema": "dynmatch.run_stats/1",
             "config": {"n": self.n, "threshold": self.threshold, "seed": self.seed},
             "workload": {"gen": self.gen, "seed": self.gen_seed},
-            "totals": self.totals(),
-            "per_update": [dict(zip(CSV_COLUMNS[:-1], r)) for r in self.rows],
+            "totals": {
+                "updates": len(rows),
+                "inserts": inserts,
+                "deletes": len(rows) - inserts,
+                "final_matching_size": self.final_matching_size,
+                "final_edge_count": self.final_edge_count,
+                "max_trace_len": max((r[4] for r in rows), default=0),
+                "procedure_calls": dict(sorted(self.procedures.items())),
+            },
         }
         if self.tracker is not None:
             d["epochs"] = {
@@ -239,6 +238,16 @@ class RunStats:
                 **self.tracker.epoch_counts(),
             }
             d["epoch_sets"] = self.tracker.set_counts()
+        return d
+
+    def to_dict(self) -> dict:
+        """The JSON document: :meth:`sections` with ``per_update`` after
+        ``totals`` and ``timing`` last."""
+        d = {"schema": "dynmatch.run_stats/1"}
+        for name, section in self.sections().items():
+            d[name] = section
+            if name == "totals":
+                d["per_update"] = [dict(zip(CSV_COLUMNS[:-1], r)) for r in self.rows]
         wall_ns = [r[-1] for r in self.rows]
         total_ns = sum(wall_ns)
         d["timing"] = {
@@ -249,31 +258,15 @@ class RunStats:
         return d
 
     def summary_table(self) -> str:
-        """Aligned two-column totals for terminal output."""
-        totals = self.totals()
-        rows: list[tuple[str, object]] = [
-            ("n", self.n),
-            ("threshold", self.threshold),
-            ("seed", self.seed),
-            ("updates", totals["updates"]),
-            ("inserts", totals["inserts"]),
-            ("deletes", totals["deletes"]),
-            ("final matching size", totals["final_matching_size"]),
-            ("final edge count", totals["final_edge_count"]),
-            ("max trace length", totals["max_trace_len"]),
+        """One aligned ``section.key  value`` line per scalar field of
+        :meth:`sections`, the value as the JSON export writes it; dict
+        fields such as ``totals.procedure_calls`` are JSON-only."""
+        rows = [
+            (f"{name}.{key}", json.dumps(value))
+            for name, section in self.sections().items()
+            for key, value in section.items()
+            if not isinstance(value, dict)
         ]
-        if self.tracker is not None:
-            counts = self.tracker.epoch_counts()
-            sets = self.tracker.set_counts()
-            rows += [
-                ("epochs opened", self.tracker.opened),
-                ("epochs closed", self.tracker.closed),
-                ("level-0 epochs", counts["level0"]),
-                ("random level-1 epochs", counts["level1_random"]),
-                ("deterministic level-1 epochs", counts["level1_deterministic"]),
-                ("epoch-sets good/bad/live",
-                 f"{sets['good']}/{sets['bad']}/{sets['live']}"),
-            ]
         width = max(len(k) for k, _ in rows)
         return "".join(f"{k:<{width}}  {v}\n" for k, v in rows)
 

@@ -239,16 +239,13 @@ def brute_force_mcm(adj: list[set[int]]) -> int:
         u = u_bit.bit_length() - 1
         rest = mask ^ u_bit
         cand = nb[u] & rest
-        if not cand:
-            result = best(rest)
-        else:
-            result = best(rest)
-            while cand:
-                v_bit = cand & -cand
-                cand ^= v_bit
-                r = 1 + best(rest ^ v_bit)
-                if r > result:
-                    result = r
+        result = best(rest)
+        while cand:
+            v_bit = cand & -cand
+            cand ^= v_bit
+            r = 1 + best(rest ^ v_bit)
+            if r > result:
+                result = r
         memo[mask] = result
         return result
 

@@ -45,9 +45,6 @@ class UpdateSequence:
     gen: str | None = None
     seed: int | None = None
 
-    def __len__(self) -> int:
-        return len(self.ops)
-
     def validate(self) -> None:
         """Raise if any op is malformed or not replayable from empty."""
         edges: set[tuple[int, int]] = set()

@@ -82,6 +82,22 @@ class TestRun:
         assert doc["totals"]["final_edge_count"] == 0
         assert doc["totals"]["final_matching_size"] == 0
 
+    def test_run_metrics_prints_the_exports_scalar_fields(self, tmp_path, capsys):
+        path = write_zipper(tmp_path, n=8)
+        metrics = tmp_path / "m.json"
+        rc = main(["run", "--input", str(path), "--metrics", str(metrics)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        doc = json.loads(metrics.read_text())
+        printed = []
+        for line in out.splitlines():
+            key, value = line.split(maxsplit=1)
+            section, field = key.split(".")
+            assert doc[section][field] == json.loads(value), line
+            printed.append(key)
+        assert printed[0] == "config.n" and printed[-1] == "epoch_sets.bad_fraction"
+        assert "totals.updates" in printed and "totals.procedure_calls" not in printed
+
     def test_run_csv_metrics(self, tmp_path):
         path = write_zipper(tmp_path)
         metrics = tmp_path / "m.csv"

@@ -50,6 +50,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             Config(n=4, threshold=0)
 
+    @pytest.mark.parametrize("n", (4.0, 4.5, "4", None))
+    def test_non_int_n_rejected(self, n):
+        with pytest.raises(ValueError, match="vertex count must be an int"):
+            Config(n=n)
+
+    @pytest.mark.parametrize("threshold", (2.0, 2.5, "2"))
+    def test_non_int_threshold_rejected(self, threshold):
+        with pytest.raises(ValueError, match="threshold must be an int"):
+            Config(n=8, threshold=threshold)
+
     def test_new_state_empty(self):
         s = make_state(4, seed=1)
         assert s.edge_count == 0

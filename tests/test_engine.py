@@ -720,6 +720,12 @@ def test_rejected_update_leaves_state_unchanged(seed):
             ("+", 0, -1),
             ("+", -n, 0),
             ("-", 0, -n),
+            ("+", absent[0], absent[1] + 0.5),
+            ("+", float(absent[0]), absent[1]),
+            ("-", present[0], float(present[1])),
+            ("-", present[0] + 0.5, present[1]),
+            ("+", str(absent[0]), absent[1]),
+            ("-", present[0], str(present[1])),
             ("*", *absent),
         ]
         for kind, u, v in rejected:
