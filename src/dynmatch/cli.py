@@ -51,11 +51,7 @@ def _load_sequence(path: str) -> workload.UpdateSequence:
 
 
 def _run_or_verify(args, *, oracle: bool) -> int:
-    try:
-        seq = _load_sequence(args.input)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    seq = _load_sequence(args.input)
     if args.teardown:
         seq = workload.extend_with_teardown(seq)
     state = State(Config(n=seq.n, threshold=args.threshold, seed=args.seed))
@@ -88,7 +84,7 @@ def _run_or_verify(args, *, oracle: bool) -> int:
                 fh.write(text)
             sys.stdout.write(stats.summary_table())
     print(
-        f"replayed {state.update_index + 1} ops: "
+        f"replayed {result.updates} ops: "
         f"|M|={state.matching_size} edges={state.edge_count}",
         file=sys.stderr,
     )
@@ -203,12 +199,10 @@ def main(argv: list[str] | None = None) -> int:
             return _run_or_verify(args, oracle=False)
         if args.command == "verify":
             return _run_or_verify(args, oracle=True)
-        if args.command == "bench":
-            return _cmd_bench(args)
+        return _cmd_bench(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -229,7 +229,3 @@ class State:
 
     def own_remove(self, owner: int, other: int) -> None:
         self.owners[owner].remove(other)
-
-    def own_sample_uniform(self, owner: int) -> int:
-        """Other endpoint of an edge drawn uniformly from owner's list."""
-        return self.owners[owner].sample(self.rng)

@@ -68,14 +68,16 @@ PROCEDURE_NAMES = (
 )
 
 
-def _match(state, u, v, creator, *, init=None):
+def _match(state, u, v, *, init=None):
     """Match u and v, plus the epoch-creation event for the metrics observer.
 
-    ``init`` is the snapshot of u's owned edges that a random settle takes:
-    the epoch is random, and owned by u, exactly when it is given.  Both
-    endpoints leave the free indexes first, each only if its partner's
-    index holds it (all or none, and (u, v) is an edge): for a new edge
-    between two free vertices :func:`insert_edge` has already done so.
+    The event's creator is the running procedure, the last trace entry:
+    every procedure matches before it calls another one.  ``init`` is the
+    snapshot of u's owned edges that a random settle takes: the epoch is
+    random, and owned by u, exactly when it is given.  Both endpoints
+    leave the free indexes first, each only if its partner's index holds
+    it (all or none, and (u, v) is an edge): for a new edge between two
+    free vertices :func:`insert_edge` has already done so.
     """
     free_index = state.free_index
     if u in free_index[v]:
@@ -94,7 +96,7 @@ def _match(state, u, v, creator, *, init=None):
             (u, v) if u < v else (v, u),
             max(level[u], level[v]),
             "deterministic" if init is None else "random",
-            creator=creator,
+            creator=state.trace[-1][0],
             owner=None if init is None else u,
             owned_init=init,
         )
@@ -239,7 +241,7 @@ def naive_settle_augmented(state: State, u: int, flag: int) -> None:
     threshold = state.threshold
     w = state.free_index[u].get_free()
     if w is not None:
-        _match(state, u, w, "naive_settle_augmented")
+        _match(state, u, w)
         p = u if len(adj[u]) >= threshold else w
         if len(adj[p]) >= threshold:
             if flag:
@@ -276,7 +278,7 @@ def random_settle_augmented(state: State, u: int) -> None:
         init = tuple(
             (u, w) if u < w else (w, u) for w in sorted(state.owners[u])
         )
-    y = state.own_sample_uniform(u)
+    y = state.owners[u].sample(state.rng)
     transfer_ownership_to(state, y)
     # y now owns (y, u), and u rises below without a scan.
     _note_level1(state, y, u)
@@ -286,7 +288,7 @@ def random_settle_augmented(state: State, u: int) -> None:
     level = state.level
     level[u] = 1
     level[y] = 1
-    _match(state, u, y, "random_settle_augmented", init=init)
+    _match(state, u, y, init=init)
     w = state.free_index[u].get_free()
     if w is not None:
         z = check_3_aug_path(state, w, u)
@@ -318,7 +320,7 @@ def deterministic_raise_level_to_1(state: State, u: int) -> None:
     level[u] = 1
     level[v] = 1
     _unmatch(state, u, v)
-    _match(state, u, v, "deterministic_raise_level_to_1")
+    _match(state, u, v)
 
 
 def randomised_raise_level_to_1(state: State, u: int) -> None:
@@ -357,8 +359,8 @@ def fix_3_aug_path_d(state: State, u: int, v: int, y: int, z: int) -> None:
         level[v] = 1
         level[y] = 1
     _unmatch(state, v, y)
-    _match(state, u, v, "fix_3_aug_path_d")
-    _match(state, y, z, "fix_3_aug_path_d")
+    _match(state, u, v)
+    _match(state, y, z)
     level[u] = 1
     level[z] = 1
 
@@ -376,8 +378,8 @@ def fix_3_aug_path(state: State, u: int, v: int, y: int, z: int) -> None:
     adj = state.adj
     threshold = state.threshold
     _unmatch(state, v, y)
-    _match(state, u, v, "fix_3_aug_path")
-    _match(state, y, z, "fix_3_aug_path")
+    _match(state, u, v)
+    _match(state, y, z)
     if level[v] == 1:
         # q is the endpoint over the cutoff, if either is; p rises in place
         p, q = (z, u) if len(adj[u]) >= threshold else (u, z)
@@ -435,7 +437,7 @@ def handle_insert_level0(state: State, u: int, v: int) -> None:
     state.own_add(u, v)
     both_free = mate[u] is None and mate[v] is None
     if both_free:
-        _match(state, u, v, "handle_insert_level0")
+        _match(state, u, v)
     if len(owners[u]) >= threshold:
         transfer_ownership_to(state, u)
         old_mate = mate[u]

@@ -45,20 +45,15 @@ class UpdateSequence:
     gen: str | None = None
     seed: int | None = None
 
-    def validate(self) -> None:
-        """Raise if any op is malformed or not replayable from empty."""
+    def final_edges(self) -> list[tuple[int, int]]:
+        """Edge set left after replaying all ops from empty, ascending.
+
+        Raises :class:`SequenceFormatError` at the first op that is
+        malformed or not replayable.
+        """
         edges: set[tuple[int, int]] = set()
         for i, op in enumerate(self.ops):
             _check_op(self.n, edges, op, i + 1)
-
-    def final_edges(self) -> list[tuple[int, int]]:
-        """Edge set left after replaying all ops, ascending."""
-        edges: set[tuple[int, int]] = set()
-        for op in self.ops:
-            if op.kind == INSERT:
-                edges.add(op.edge())
-            else:
-                edges.discard(op.edge())
         return sorted(edges)
 
 
@@ -177,12 +172,15 @@ def gen_named(pattern: str, n: int, seed: int) -> UpdateSequence:
     else:
         raise ValueError(f"unknown pattern {pattern!r}; known: {PATTERNS}")
     seq = UpdateSequence(n=n, ops=ops, gen=pattern, seed=seed)
-    seq.validate()
+    seq.final_edges()  # raises if a pattern emits a non-replayable op
     return seq
 
 
 def extend_with_teardown(seq: UpdateSequence) -> UpdateSequence:
-    """Append deletes of every remaining edge, ascending (u, v)."""
+    """Append deletes of every remaining edge, ascending (u, v).
+
+    Raises :class:`SequenceFormatError` if ``seq`` is not replayable.
+    """
     extra = [UpdateOp(DELETE, u, v) for u, v in seq.final_edges()]
     return UpdateSequence(
         n=seq.n, ops=list(seq.ops) + extra, gen=seq.gen, seed=seq.seed

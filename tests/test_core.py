@@ -25,7 +25,7 @@ def make_state(n, threshold=None, seed=0):
 
 
 def match(s, u, v):
-    _match(s, u, v, "test")
+    _match(s, u, v)
 
 
 def details(s):
@@ -366,19 +366,19 @@ class TestOwnership:
             s.add_edge(0, v)
             s.own_add(0, v)
         s.own_remove(0, 2)
-        seen = {s.own_sample_uniform(0) for _ in range(60)}
+        seen = {s.owners[0].sample(s.rng) for _ in range(60)}
         assert seen == {1, 3}
 
     def test_sample_single_forced(self):
         s = make_state(3, seed=99)
         s.add_edge(0, 2)
         s.own_add(0, 2)
-        assert s.own_sample_uniform(0) == 2
+        assert s.owners[0].sample(s.rng) == 2
 
     def test_sample_empty_raises(self):
         s = make_state(3)
         with pytest.raises(ValueError):
-            s.own_sample_uniform(0)
+            s.owners[0].sample(s.rng)
 
 
 class TestSamplingUniformity:
@@ -393,7 +393,7 @@ class TestSamplingUniformity:
         hits = 0
         for seed in range(draws):
             s.rng = random.Random(seed)
-            if s.own_sample_uniform(0) == 1:
+            if s.owners[0].sample(s.rng) == 1:
                 hits += 1
         assert abs(hits / draws - 0.5) < 0.02
 
@@ -408,7 +408,7 @@ class TestSamplingUniformity:
         rng = random.Random(12345)
         s.rng = rng
         for _ in range(draws):
-            counts[s.own_sample_uniform(0)] += 1
+            counts[s.owners[0].sample(s.rng)] += 1
         bound = 4 * math.sqrt(math.log(k) / draws)
         for v in range(1, k + 1):
             assert abs(counts[v] / draws - 1 / k) < bound
@@ -420,7 +420,7 @@ class TestSamplingUniformity:
             for v in (1, 2, 3):
                 s.add_edge(0, v)
                 s.own_add(0, v)
-            outcomes.append([s.own_sample_uniform(0) for _ in range(20)])
+            outcomes.append([s.owners[0].sample(s.rng) for _ in range(20)])
         assert outcomes[0] == outcomes[1]
 
 

@@ -1,5 +1,8 @@
+import ast
 import hashlib
 import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -56,7 +59,7 @@ def add_owned(s, owner, other):
 
 
 def match(s, u, v):
-    eng._match(s, u, v, "test")
+    eng._match(s, u, v)
 
 
 def matched_edges(s):
@@ -503,9 +506,17 @@ class TestInsert:
         s = make_state(8, seed=2)
         insert_edge(s, 1, 2)
         insert_edge(s, 0, 1)
-        insert_edge(s, 2, 3)  # now M = {(0,1),(2,3)}
+        # 3 is free next to matched (2, 1), whose 1 has free neighbor 0
+        assert insert_edge(s, 2, 3) == [
+            ("handle_insert_level0", 2, 3),
+            ("fix_3_aug_path", 3, 2, 1, 0),
+        ]
+        assert matched_edges(s) == [(0, 1), (2, 3)]
         insert_edge(s, 4, 5)
-        trace = insert_edge(s, 3, 4)  # matched level-0 endpoints
+        mates = list(s.mate)
+        # matched level-0 endpoints: no path to fix, no mate changes
+        assert insert_edge(s, 3, 4) == [("handle_insert_level0", 3, 4)]
+        assert s.mate == mates
         assert check_invariants(s).ok
 
     def test_level1_level0_insert_cases(self):
@@ -1050,6 +1061,27 @@ def test_state_digest_pinned(key):
 @pytest.mark.parametrize("key", sorted(PINNED_DIGESTS, key=repr), ids=_pinned_id)
 def test_event_digest_pinned(key):
     assert _event_digest(key) == PINNED_EVENT_DIGESTS[key]
+
+
+def test_each_procedure_names_itself_once():
+    """A procedure's name is written in the engine twice: in
+    PROCEDURE_NAMES and at the head of its own trace entry.  ``_match``
+    takes an epoch's creator from the trace, so no call site repeats it."""
+    tree = ast.parse(Path(eng.__file__).read_text(encoding="utf-8"))
+    literals = Counter(
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    )
+    heads = {
+        fn.name: call.args[0].elts[0].value
+        for fn in tree.body if isinstance(fn, ast.FunctionDef)
+        for call in ast.walk(fn)
+        if isinstance(call, ast.Call) and ast.unparse(call.func) == "state.trace.append"
+    }
+    assert heads == {name: name for name in eng.PROCEDURE_NAMES}
+    assert {name: literals[name] for name in eng.PROCEDURE_NAMES} == {
+        name: 2 for name in eng.PROCEDURE_NAMES
+    }
 
 
 # Every pinned key, plus the named patterns the pins leave out.

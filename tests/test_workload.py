@@ -26,7 +26,7 @@ class TestGenRandom:
         seq = gen_random(3, 3, 1.0, seed=4)
         assert [op.kind for op in seq.ops] == [INSERT] * 3
         assert {op.edge() for op in seq.ops} <= {(0, 1), (0, 2), (1, 2)}
-        seq.validate()
+        seq.final_edges()
 
     def test_fixed_seed_identical(self):
         a = gen_random(10, 200, 0.6, seed=42)
@@ -41,11 +41,11 @@ class TestGenRandom:
         # tiny graph saturates fast; fallbacks keep producing ops
         seq = gen_random(3, 50, 0.9, seed=7)
         assert len(seq.ops) == 50
-        seq.validate()
+        seq.final_edges()
 
     def test_replayable(self):
         for seed in range(5):
-            gen_random(8, 300, 0.55, seed).validate()
+            gen_random(8, 300, 0.55, seed).final_edges()
 
     def test_bad_params(self):
         with pytest.raises(ValueError):
@@ -112,7 +112,7 @@ class TestGenNamed:
 
     def test_star_churn_replayable(self):
         for n in (2, 5, 9):
-            gen_named("star-churn", n, 0).validate()
+            gen_named("star-churn", n, 0).final_edges()
 
     @pytest.mark.parametrize("threshold", [2, 3, 4, 5])
     def test_star_churn_exercises_randomised_raise(self, threshold):
@@ -149,6 +149,11 @@ class TestTeardown:
         assert [op.kind for op in tail] == [DELETE] * 3
         assert [op.edge() for op in tail] == sorted(op.edge() for op in seq.ops)
 
+    def test_rejects_a_delete_of_an_absent_edge(self):
+        seq = UpdateSequence(n=4, ops=[UpdateOp(INSERT, 0, 1), UpdateOp(DELETE, 2, 3)])
+        with pytest.raises(SequenceFormatError, match="line 2: delete of absent edge"):
+            extend_with_teardown(seq)
+
     def test_already_empty_unchanged(self):
         seq = UpdateSequence(n=3, ops=[UpdateOp(INSERT, 0, 1), UpdateOp(DELETE, 0, 1)])
         assert extend_with_teardown(seq).ops == seq.ops
@@ -160,7 +165,6 @@ class TestTeardown:
         ext = extend_with_teardown(seq)
         assert len(ext.ops) <= 2 * len(seq.ops)
         assert ext.final_edges() == []
-        ext.validate()
 
 
 class TestSerialization:
