@@ -13,7 +13,7 @@ from .engine import (
     delete_edge,
     insert_edge,
 )
-from .metrics import EpochRecord, EpochSetRecord, EpochTracker, RunStats, classify_epoch_set, export
+from .metrics import EpochRecord, EpochTracker, RunStats, classify_epoch_set, export
 from .replay import ReplayResult, replay
 from .verifier import (
     OracleLimitError,
@@ -69,7 +69,6 @@ __all__ = [
     "SequenceFormatError",
     "EpochTracker",
     "EpochRecord",
-    "EpochSetRecord",
     "RunStats",
     "classify_epoch_set",
     "export",

@@ -4,12 +4,13 @@ An *epoch* is the maximal interval during which one edge stays matched; it
 inherits the level and the random/deterministic class of the step that
 created it.  A level raise of a matched edge restarts its epoch at level 1.
 
-Random level-1 epochs snapshot the owner's edge list at creation so the
-tracker can count how much of that initial list the workload deletes before
-the epoch dies.  Each random level-1 epoch opens an *epoch-set*; the
-deterministic level-1 epochs created later in the same update (before the
-next random one) join it.  A set whose representative outlived deletion of
-at least a third of its initial list is *good*, otherwise *bad*.
+Random epochs are level 1 (a random settle raises both endpoints first) and
+snapshot the owner's edge list, so the tracker can count how much of it the
+workload deletes before the epoch dies.  Each random epoch heads an
+*epoch-set*, joined by the deterministic level-1 epochs created after it in
+the same update (before the next random one), as ``created_at`` and record
+order show.  A set is *good* if its random epoch outlived deletion of at
+least a third of its initial list, otherwise *bad*.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ class EpochRecord:
     level: int
     cls: str  # "random" | "deterministic"
     creator: str
-    preceded_by_random: bool
     terminated_at: int | None = None
     owner: int | None = None
     owner_init_size: int | None = None
@@ -39,21 +39,15 @@ class EpochRecord:
         return self.terminated_at is None
 
 
-@dataclass
-class EpochSetRecord:
-    representative: int  # epoch id of the random level-1 representative
-    members: list[int] = field(default_factory=list)  # deterministic joiners
+def classify_epoch_set(rep: EpochRecord) -> str:
+    """"good" or "bad" for the epoch-set headed by the terminated random
+    epoch ``rep``.
 
-
-def classify_epoch_set(tracker: EpochTracker, rec: EpochSetRecord) -> str:
-    """"good" or "bad"; the representative epoch must have terminated.
-
-    Bad means the representative died before the workload deleted the first
-    third (rounded up) of the edges its owner held at creation.
+    Bad means ``rep`` died before the workload deleted the first third
+    (rounded up) of the edges its owner held at creation.
     """
-    rep = tracker.epochs[rec.representative]
-    if rep.live:
-        raise ValueError("cannot classify a set whose representative is live")
+    if rep.live or rep.cls != "random":
+        raise ValueError("an epoch-set is classified by its terminated random epoch")
     needed = (rep.owner_init_size + 2) // 3
     return "bad" if rep.deletions_from_init < needed else "good"
 
@@ -63,18 +57,16 @@ class EpochTracker:
 
     def __init__(self) -> None:
         self.epochs: list[EpochRecord] = []
-        self.epoch_sets: list[EpochSetRecord] = []
         self._live: dict[tuple[int, int], int] = {}
         self._watchers: dict[tuple[int, int], list[int]] = {}
-        self._open_set: int | None = None  # set of this update's latest random epoch
 
     # -- engine hooks --------------------------------------------------
 
     def on_update_begin(self, index: int, kind: str, u: int, v: int) -> None:
-        self._open_set = None
+        """Nothing to open: each event carries its update's index."""
 
     def on_update_end(self, index: int, matching_size: int) -> None:
-        """Nothing to close: :meth:`on_update_begin` resets the open set."""
+        """Nothing to close: each event carries its update's index."""
 
     def on_match_set(
         self,
@@ -90,26 +82,19 @@ class EpochTracker:
         if edge in self._live:
             raise ValueError(f"epoch for {edge} already open")
         eid = len(self.epochs)
-        rec = EpochRecord(
+        self.epochs.append(EpochRecord(
             edge=edge,
             created_at=index,
             level=level,
             cls=cls,
             creator=creator,
-            preceded_by_random=self._open_set is not None,
             owner=owner,
             owner_init_size=len(owned_init) if owned_init is not None else None,
-        )
-        self.epochs.append(rec)
+        ))
         self._live[edge] = eid
-        if cls == "random":
-            self._open_set = len(self.epoch_sets)
-            self.epoch_sets.append(EpochSetRecord(representative=eid))
-            if owned_init:
-                for e in owned_init:
-                    self._watchers.setdefault(e, []).append(eid)
-        elif level == 1 and self._open_set is not None:
-            self.epoch_sets[self._open_set].members.append(eid)
+        if owned_init:
+            for e in owned_init:
+                self._watchers.setdefault(e, []).append(eid)
 
     def on_match_unset(self, index: int, edge: tuple[int, int]) -> None:
         eid = self._live.pop(edge, None)
@@ -151,18 +136,14 @@ class EpochTracker:
         return c
 
     def set_counts(self) -> dict[str, int | float | None]:
-        good = bad = live = 0
-        for s in self.epoch_sets:
-            if self.epochs[s.representative].live:
-                live += 1
-            elif classify_epoch_set(self, s) == "good":
-                good += 1
-            else:
-                bad += 1
-        done = good + bad
+        """Epoch-sets by class: one per random epoch."""
+        heads = [rec for rec in self.epochs if rec.cls == "random"]
+        live = sum(rec.live for rec in heads)
+        bad = sum(classify_epoch_set(rec) == "bad" for rec in heads if not rec.live)
+        done = len(heads) - live
         return {
-            "total": len(self.epoch_sets),
-            "good": good,
+            "total": len(heads),
+            "good": done - bad,
             "bad": bad,
             "live": live,
             "bad_fraction": (bad / done) if done else None,
@@ -214,8 +195,8 @@ class RunStats:
 
     def sections(self) -> dict:
         """The export's deterministic sections in document order: config,
-        workload and totals, then epochs and epoch_sets when a tracker is
-        attached.  Builds no per-update structure."""
+        workload and totals, then the epoch and epoch-set counts when a
+        tracker is attached.  Builds no per-update structure."""
         rows = self.rows
         inserts = sum(1 for r in rows if r[1] == "+")
         d = {

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 from .core import State
 
-INVARIANT_IDS = ("1a", "1b", "2", "3", "4", "5", "OWN", "F", "SYM", "MAX")
-
 ORACLE_MAX_VERTICES = 20
 ORACLE_MAX_EDGES = 28
 

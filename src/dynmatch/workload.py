@@ -22,10 +22,11 @@ PATTERNS = ("star-churn", "clique-build-teardown", "path-zipper")
 
 
 class SequenceFormatError(ValueError):
-    """Malformed or non-replayable sequence text."""
+    """Malformed or non-replayable sequence.  ``line_no`` is :func:`parse`'s
+    text line, or None for a built sequence, whose message names the op."""
 
-    def __init__(self, line_no: int, message: str) -> None:
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, line_no: int | None, message: str) -> None:
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no
 
 
@@ -52,27 +53,31 @@ class UpdateSequence:
         malformed or not replayable.
         """
         edges: set[tuple[int, int]] = set()
-        for i, op in enumerate(self.ops):
-            _check_op(self.n, edges, op, i + 1)
+        for i, op in enumerate(self.ops, start=1):
+            fault = _apply_op(self.n, edges, op)
+            if fault:
+                raise SequenceFormatError(None, f"op {i}: {fault}")
         return sorted(edges)
 
 
-def _check_op(n: int, edges: set[tuple[int, int]], op: UpdateOp, line_no: int) -> None:
+def _apply_op(n: int, edges: set[tuple[int, int]], op: UpdateOp) -> str | None:
+    """Apply ``op`` to ``edges``, or leave them and say why it cannot apply."""
     if op.u == op.v:
-        raise SequenceFormatError(line_no, f"self-loop {op.u}")
+        return f"self-loop {op.u}"
     if not (0 <= op.u < n and 0 <= op.v < n):
-        raise SequenceFormatError(line_no, f"vertex out of range in ({op.u}, {op.v})")
+        return f"vertex out of range in ({op.u}, {op.v})"
     e = op.edge()
     if op.kind == INSERT:
         if e in edges:
-            raise SequenceFormatError(line_no, f"insert of present edge {e}")
+            return f"insert of present edge {e}"
         edges.add(e)
     elif op.kind == DELETE:
         if e not in edges:
-            raise SequenceFormatError(line_no, f"delete of absent edge {e}")
+            return f"delete of absent edge {e}"
         edges.remove(e)
     else:
-        raise SequenceFormatError(line_no, f"unknown op kind {op.kind!r}")
+        return f"unknown op kind {op.kind!r}"
+    return None
 
 
 def gen_random(n: int, t: int, p_insert: float, seed: int) -> UpdateSequence:
@@ -241,6 +246,8 @@ def parse(text: str) -> UpdateSequence:
         except ValueError:
             raise SequenceFormatError(line_no, f"non-integer vertex in {raw!r}") from None
         op = UpdateOp(parts[0], u, v)
-        _check_op(n, edges, op, line_no)
+        fault = _apply_op(n, edges, op)
+        if fault:
+            raise SequenceFormatError(line_no, fault)
         seq.ops.append(op)
     return seq

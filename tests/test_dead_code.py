@@ -1,6 +1,7 @@
-"""A guard against dead code in the package: an import nothing reads, or a
-function local that is assigned and never read.  A refactor that stops
-using a name should delete it, not leave it behind."""
+"""A guard against dead code in the package: an import nothing reads, a
+function local that is assigned and never read, or a module-level name
+that nothing in the repository reads.  A refactor that stops using a name
+should delete it, not leave it behind."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,8 @@ import pytest
 import dynmatch
 
 SOURCES = sorted(Path(dynmatch.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+READERS = [*SOURCES, *sorted(ROOT.glob("tests/*.py")), *sorted(ROOT.glob("perfbench/**/*.py"))]
 
 # Nested scopes: their own assignments are not the enclosing function's locals.
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef,
@@ -66,6 +69,39 @@ def unused_locals(source):
     return found
 
 
+def top_level_names(source):
+    """Names the module's own statements bind: functions, classes and
+    assigned globals, dunders excepted."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
+def names_read(source):
+    """Names ``source`` reads, as a bare name, an attribute or an import."""
+    tree = ast.parse(source)
+    read = _read_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(a.name for a in node.names)
+    return read
+
+
+def test_every_module_level_name_is_read():
+    # __init__.py binds only the package's re-exports and dunders
+    read = set().union(*(names_read(p.read_text()) for p in READERS))
+    unread = [f"{p.stem}.{name}" for p in SOURCES if p.name != "__init__.py"
+              for name in top_level_names(p.read_text()) if name not in read]
+    assert unread == []
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_package_has_no_dead_names(path):
     source = path.read_text()
@@ -109,3 +145,29 @@ def test_guard_finds_unused_imports(source, expected):
 )
 def test_guard_finds_unused_locals(source, expected):
     assert unused_locals(source) == expected
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("X = 1\ndef f():\n    pass\nclass C:\n    Y = 2\n", ["X", "f", "C"]),
+        ("A, (B, C) = 1, (2, 3)\nD: int = 4\n", ["A", "B", "C", "D"]),
+        ("__all__ = []\nif True:\n    Z = 1\n", []),
+    ],
+)
+def test_guard_finds_top_level_names(source, expected):
+    assert top_level_names(source) == expected
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("f(x)\n", {"f", "x"}),
+        ("obj.attr\n", {"obj", "attr"}),
+        ("obj.attr = 1\n", {"obj"}),
+        ("from m import a as b\n", {"a"}),
+        ("X = 1\n", set()),
+    ],
+)
+def test_guard_finds_names_read(source, expected):
+    assert names_read(source) == expected

@@ -9,7 +9,6 @@ import pytest
 from dynmatch import (
     Config,
     EpochRecord,
-    EpochSetRecord,
     EpochTracker,
     RunStats,
     State,
@@ -77,48 +76,51 @@ class TestEpochEvents:
         assert live == [0] * 300
 
     def test_expensive_deterministic_epochs_follow_a_random_one(self):
-        # deterministic-raise and the deterministic path-fix variant only
-        # run after a randomized settle in the same update
-        s, tr = tracked_state(16, threshold=2, seed=9)
+        # deterministic-raise, the deterministic path-fix variant and every
+        # flag-1 settle only run after a randomized settle in the same update
+        s, _ = tracked_state(16, threshold=2, seed=9)
         seq = gen_random(16, 1500, 0.6, 21)
+        seen = set()
         for op in seq.ops:
-            apply_update(s, op.kind, op.u, op.v)
-        flagged = [
-            e
-            for e in tr.epochs
-            if e.creator in ("deterministic_raise_level_to_1", "fix_3_aug_path_d")
-        ]
-        assert flagged, "workload never exercised the deterministic variants"
-        assert all(e.preceded_by_random for e in flagged)
+            trace = apply_update(s, op.kind, op.u, op.v)
+            for k, call in enumerate(trace):
+                name = call[0]
+                if name in ("deterministic_raise_level_to_1", "fix_3_aug_path_d") or (
+                    name in ("naive_settle_augmented", "handle_delete_level1") and call[2] == 1
+                ):
+                    seen.add(name)
+                    assert any(c[0] == "random_settle_augmented" for c in trace[:k]), trace
+        assert seen == {"deterministic_raise_level_to_1", "fix_3_aug_path_d",
+                        "naive_settle_augmented", "handle_delete_level1"}
 
 
 class TestEpochSets:
     def test_classification_thresholds(self):
-        tr = EpochTracker()
         rep = EpochRecord(
             edge=(0, 1), created_at=0, level=1, cls="random",
-            creator="random_settle_augmented", preceded_by_random=False,
-            owner=0, owner_init_size=9,
+            creator="random_settle_augmented", owner=0, owner_init_size=9,
         )
-        tr.epochs.append(rep)
-        srec = EpochSetRecord(representative=0)
         rep.terminated_at = 5
         rep.deletions_from_init = 2
-        assert classify_epoch_set(tr, srec) == "bad"
+        assert classify_epoch_set(rep) == "bad"
         rep.deletions_from_init = 3
-        assert classify_epoch_set(tr, srec) == "good"
+        assert classify_epoch_set(rep) == "good"
 
     def test_live_representative_rejected(self):
-        tr = EpochTracker()
-        tr.epochs.append(
-            EpochRecord(
-                edge=(0, 1), created_at=0, level=1, cls="random",
-                creator="random_settle_augmented", preceded_by_random=False,
-                owner=0, owner_init_size=4,
-            )
+        rep = EpochRecord(
+            edge=(0, 1), created_at=0, level=1, cls="random",
+            creator="random_settle_augmented", owner=0, owner_init_size=4,
         )
         with pytest.raises(ValueError):
-            classify_epoch_set(tr, EpochSetRecord(representative=0))
+            classify_epoch_set(rep)
+
+    def test_deterministic_epoch_rejected(self):
+        rec = EpochRecord(
+            edge=(0, 1), created_at=0, level=1, cls="deterministic",
+            creator="fix_3_aug_path_d", terminated_at=3,
+        )
+        with pytest.raises(ValueError):
+            classify_epoch_set(rec)
 
     def test_teardown_deleting_whole_init_set_is_good(self):
         s, tr = tracked_state(6, threshold=2, seed=2)
@@ -131,26 +133,32 @@ class TestEpochSets:
             delete_edge(s, 0, v)
         rep = tr.epochs[ridx]
         assert not rep.live
-        sets = [x for x in tr.epoch_sets if x.representative == ridx]
-        assert len(sets) == 1
-        assert classify_epoch_set(tr, sets[0]) == "good"
+        assert classify_epoch_set(rep) == "good"
+        assert tr.set_counts() == {"total": 1, "good": 1, "bad": 0, "live": 0,
+                                   "bad_fraction": 0.0}
 
     def test_sets_group_same_update_deterministic_level1(self):
         s, tr = tracked_state(16, threshold=2, seed=4)
         seq = gen_random(16, 1200, 0.6, 8)
         for op in seq.ops:
             apply_update(s, op.kind, op.u, op.v)
-        assert tr.epoch_sets, "no random epochs at threshold 2 is implausible"
-        for srec in tr.epoch_sets:
-            rep = tr.epochs[srec.representative]
-            assert rep.cls == "random" and rep.level == 1
-            for eid in srec.members:
-                member = tr.epochs[eid]
-                assert member.cls == "deterministic"
-                assert member.level == 1
-                assert member.created_at == rep.created_at
-                assert eid > srec.representative
-        assert all(len(srec.members) + 1 <= 63 for srec in tr.epoch_sets)
+        # a set is a random epoch and the deterministic level-1 epochs
+        # created after it in the same update, before the next random one
+        sets: dict[int, list[EpochRecord]] = {}
+        head = None
+        for eid, rec in enumerate(tr.epochs):
+            if head is not None and rec.created_at != tr.epochs[head].created_at:
+                head = None
+            if rec.cls == "random":
+                assert rec.level == 1
+                head = eid
+                sets[eid] = []
+            elif rec.level == 1 and head is not None:
+                sets[head].append(rec)
+        assert sets, "no random epochs at threshold 2 is implausible"
+        assert len(sets) == tr.set_counts()["total"]
+        assert any(sets.values()), "no set has a deterministic member"
+        assert all(len(members) + 1 <= 63 for members in sets.values())
 
 
 class TestExport:
@@ -222,25 +230,39 @@ class TestExport:
 
 
 # sha256 over a run's metrics export: the JSON document without ``timing``,
-# the CSV without its ``wall_ns`` column, the summary table, and every field
-# of every EpochRecord and EpochSetRecord.  These pin what the export says,
-# however RunStats and EpochTracker store it.  A key is (generator, n,
-# threshold); every run uses seed 7 and ends with a teardown.
+# the CSV without its ``wall_ns`` column, and the summary table.  These pin
+# what the export says, however RunStats and EpochTracker store it.  A key
+# is (generator, n, threshold); every run uses seed 7 and ends with a
+# teardown.
 PINNED_EXPORT_DIGESTS = {
     ("random", 16, 2):
-        "fc4a4855fc86dc461b5b8ceb6f0095337d5cc7de06cfbec44433de2e2320d621",
+        "f3d4f62edd9818259d3d8fac0b6abd41eb6d583adc7d6addab2ffbad55526077",
     ("random", 64, None):
-        "ae73b9baba5fe50361eb9cf5559c7ac478fb0918049b85a037563a4c2982ff9b",
+        "62d69d3aeda301f46ca4400df941b34cc7c8315003fea8d367f8d004d362a75b",
     ("random", 40, 3):
-        "1b80e27f0d35659d79e6e33e63bf0189f3aa21302aa33c12b480a558ed3d1fca",
+        "634186135ebe3bb6cece13b511017d93be73f98409b7dd62ddf4837ed98e72c6",
     ("star-churn", 64, None):
-        "177eca3f8b5324d7a309a62357948ea459cd149dbc459bfe26d7f2f7355f355f",
+        "b5c5bc73176d67bdf8c9d61c14bda1e996785d5324e85266f9d94fc28b43ab00",
     ("path-zipper", 64, None):
-        "f793c3127ce4d227832c3637f2223c7d95289cdbf1f12108c96b931d03b05fb6",
+        "d3da05e5e539dc9b2d78ba4e1556015238efebcebd64289cb9e93c2e8c8ec29c",
+}
+
+# sha256 over every field of every EpochRecord of the same runs.
+PINNED_EPOCH_RECORD_DIGESTS = {
+    ("random", 16, 2):
+        "9b96dbb90c9fe75c1ab1123bb2b6c9a77607ee90cf733d986b09fda288954b8e",
+    ("random", 64, None):
+        "f0e2f260592276a05728e019e7c729590e67f90d8a3d603e282856c02354206a",
+    ("random", 40, 3):
+        "832b378dec7cad85c49721f01d67ce2ebc737150c21421b0f434caa051ca25bf",
+    ("star-churn", 64, None):
+        "48bbb54d928badc4b878ca341cc9e1a07e22019ed572d1e64452f03c56bff7a3",
+    ("path-zipper", 64, None):
+        "4b05361ef9d82f865cc9e74610594f7d9bf68b8ffd3c4c5daacf3d623d665425",
 }
 
 
-def _export_digest(gen, n, threshold, seed=7):
+def _pinned_run(gen, n, threshold, seed=7):
     if gen == "random":
         seq = gen_random(n, 600, 0.6, seed)
     else:
@@ -250,6 +272,11 @@ def _export_digest(gen, n, threshold, seed=7):
     stats = RunStats(n=n, threshold=s.threshold, seed=seed,
                      gen=seq.gen, gen_seed=seq.seed, tracker=tr)
     replay(s, seq.ops, verify_every=0, on_update=stats.recorder(s))
+    return stats
+
+
+def _export_digest(*key):
+    stats = _pinned_run(*key)
     h = hashlib.sha256()
     doc = json.loads(export(stats, "json"))
     del doc["timing"]
@@ -258,7 +285,12 @@ def _export_digest(gen, n, threshold, seed=7):
         assert row[-1] == "wall_ns" or row[-1].isdigit()
         h.update(repr(row[:-1]).encode())
     h.update(stats.summary_table().encode())
-    for rec in tr.epochs + tr.epoch_sets:
+    return h.hexdigest()
+
+
+def _epoch_record_digest(*key):
+    h = hashlib.sha256()
+    for rec in _pinned_run(*key).tracker.epochs:
         h.update(repr(dataclasses.astuple(rec)).encode())
     return h.hexdigest()
 
@@ -267,3 +299,9 @@ def _export_digest(gen, n, threshold, seed=7):
                          ids=lambda k: "-".join(map(str, k)))
 def test_export_digest_pinned(key):
     assert _export_digest(*key) == PINNED_EXPORT_DIGESTS[key]
+
+
+@pytest.mark.parametrize("key", list(PINNED_EPOCH_RECORD_DIGESTS),
+                         ids=lambda k: "-".join(map(str, k)))
+def test_epoch_record_digest_pinned(key):
+    assert _epoch_record_digest(*key) == PINNED_EPOCH_RECORD_DIGESTS[key]

@@ -151,8 +151,20 @@ class TestTeardown:
 
     def test_rejects_a_delete_of_an_absent_edge(self):
         seq = UpdateSequence(n=4, ops=[UpdateOp(INSERT, 0, 1), UpdateOp(DELETE, 2, 3)])
-        with pytest.raises(SequenceFormatError, match="line 2: delete of absent edge"):
+        with pytest.raises(SequenceFormatError, match=r"^op 2: delete of absent edge \(2, 3\)$"):
             extend_with_teardown(seq)
+
+    def test_a_bad_op_reads_as_its_line_when_parsed_and_its_position_when_built(self):
+        seq = UpdateSequence(n=4, ops=[UpdateOp(INSERT, 0, 1), UpdateOp(DELETE, 2, 3)],
+                             gen="random", seed=1)
+        with pytest.raises(SequenceFormatError) as built:
+            seq.final_edges()
+        with pytest.raises(SequenceFormatError) as parsed:
+            parse(serialize(seq))  # header and metadata comment come first
+        assert (str(built.value), built.value.line_no) == (
+            "op 2: delete of absent edge (2, 3)", None)
+        assert (str(parsed.value), parsed.value.line_no) == (
+            "line 4: delete of absent edge (2, 3)", 4)
 
     def test_already_empty_unchanged(self):
         seq = UpdateSequence(n=3, ops=[UpdateOp(INSERT, 0, 1), UpdateOp(DELETE, 0, 1)])
