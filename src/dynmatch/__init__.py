@@ -2,7 +2,7 @@
 
 Maintains a 3/2-approximate maximum cardinality matching under edge
 insertions and deletions in expected amortized O(sqrt(n)) time, with an
-independent invariant verifier, an exact small-instance oracle, workload
+independent invariant verifier, an exact maximum-matching oracle, workload
 generators, and epoch-level metrics.
 """
 
@@ -16,13 +16,12 @@ from .engine import (
 from .metrics import EpochRecord, EpochTracker, RunStats, classify_epoch_set, export
 from .replay import ReplayResult, replay
 from .verifier import (
-    OracleLimitError,
     Violation,
     ViolationReport,
-    brute_force_mcm,
     check_invariants,
     check_ratio,
     find_3_aug_path,
+    maximum_matching_size,
 )
 from .workload import (
     DELETE,
@@ -54,9 +53,8 @@ __all__ = [
     "Violation",
     "check_invariants",
     "find_3_aug_path",
-    "brute_force_mcm",
+    "maximum_matching_size",
     "check_ratio",
-    "OracleLimitError",
     "UpdateOp",
     "UpdateSequence",
     "INSERT",

@@ -2,8 +2,8 @@
 
 The paper's guarantees hold for any sequence an oblivious adversary fixes in
 advance, so every claim here is checked by replaying such a sequence.  This
-module is the one place that times each update, verifies the state, runs the
-exact-oracle ratio check and counts procedure calls.  The caller builds the
+module is the one place that times each update, verifies the state, checks
+the 3/2 ratio against the exact optimum and counts procedure calls.  The caller builds the
 :class:`~dynmatch.core.State` (seed, threshold, observer) and passes any
 iterable of :class:`~dynmatch.workload.UpdateOp`; anything else it wants to
 see per update goes through the ``on_update`` callback.
@@ -18,7 +18,7 @@ from typing import Callable, Iterable
 
 from .core import State
 from .engine import apply_update
-from .verifier import OracleLimitError, ViolationReport, check_invariants, check_ratio
+from .verifier import ViolationReport, check_invariants, check_ratio
 from .workload import UpdateOp
 
 
@@ -30,9 +30,6 @@ class ReplayResult:
     update_ns: int = 0  # wall time inside apply_update, summed over the updates
     max_trace: int = 0
     procedures: Counter = field(default_factory=Counter)
-    ratio_checked: int = 0
-    ratio_failed: int = 0
-    ratio_skipped: int = 0
 
 
 def replay(
@@ -48,8 +45,8 @@ def replay(
     ``verify_every``: 1 runs :func:`check_invariants` after every update, k
     after every k-th, 0 only at the end, None never; unless it is None the
     final state is always checked.  With ``oracle``, :func:`check_ratio`
-    runs after every update; an instance beyond the oracle's guard counts as
-    skipped, never as passed.  ``on_update(i, op, calls, elapsed_ns)`` runs
+    runs after every update; a failure stops the loop with no report.
+    ``on_update(i, op, calls, elapsed_ns)`` runs
     after each update, before its checks.
     """
     result = ReplayResult()
@@ -73,17 +70,9 @@ def replay(
             if not report.ok:
                 result.report, result.dirty_at = report, i
                 break
-        if oracle:
-            try:
-                ok = check_ratio(state)
-            except OracleLimitError:
-                result.ratio_skipped += 1
-                continue
-            result.ratio_checked += 1
-            if not ok:
-                result.ratio_failed += 1
-                result.dirty_at = i
-                break
+        if oracle and not check_ratio(state):
+            result.dirty_at = i
+            break
     result.updates = i + 1
     if verify_every is not None and result.dirty_at is None and verified != i:
         report = check_invariants(state)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from dynmatch import gen_named, parse, serialize
+from dynmatch import gen_named, gen_random, parse, serialize
 from dynmatch.cli import main
 from dynmatch.verifier import Violation, ViolationReport
 from dynmatch.workload import PATTERNS
@@ -130,18 +130,22 @@ class TestVerify:
         path = write_zipper(tmp_path)
         rc = main(["verify", "--input", str(path), "--seed", "1"])
         assert rc == 0
-        assert "ratio checks" in capsys.readouterr().err
+        assert "replayed 3 ops" in capsys.readouterr().err
 
-    def test_verify_reports_skips_beyond_oracle_guard(self, tmp_path, capsys):
-        seq = tmp_path / "big.seq"
-        rc = main(["gen", "--pattern", "random", "--n", "40", "--t", "120",
-                   "--p-insert", "0.9", "--seed", "1", "--out", str(seq)])
+    def test_verify_checks_the_ratio_after_every_update(self, tmp_path, monkeypatch):
+        # 40 vertices: beyond what an exhaustive oracle could answer
+        path = tmp_path / "big.seq"
+        path.write_text(serialize(gen_random(40, 120, 0.9, 1)))
+        real, answers = replay_mod.check_ratio, []
+
+        def recorded(state):
+            answers.append(real(state))
+            return answers[-1]
+
+        monkeypatch.setattr(replay_mod, "check_ratio", recorded)
+        rc = main(["verify", "--input", str(path), "--seed", "1"])
         assert rc == 0
-        rc = main(["verify", "--input", str(seq), "--seed", "1"])
-        captured = capsys.readouterr()
-        assert rc == 0
-        assert "skipped" in captured.err
-        assert "0 skipped" not in captured.err
+        assert answers == [True] * 120
 
 
 class TestBench:
@@ -191,6 +195,15 @@ class TestViolationExitCode:
         rc = main(["run", "--input", str(path), "--verify-every", "5"])
         assert rc == 1
         assert "dirty state after update 2" in capsys.readouterr().err
+
+    def test_ratio_violation_is_exit_1_without_a_report(self, tmp_path, capsys, monkeypatch):
+        path = write_zipper(tmp_path)
+        monkeypatch.setattr(replay_mod, "check_ratio", lambda s: False)
+        rc = main(["verify", "--input", str(path)])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert err[0].startswith("replayed 1 ops")
+        assert err[1:] == ["dirty state after update 0:", "approximation ratio violated"]
 
 
 class TestReplayDeterminism:

@@ -1,7 +1,8 @@
 """A guard against dead code in the package: an import nothing reads, a
-function local that is assigned and never read, or a module-level name
-that nothing in the repository reads.  A refactor that stops using a name
-should delete it, not leave it behind."""
+function local that is assigned and never read, a module-level name that
+nothing in the repository reads, or a package re-export that ``__all__``
+and the imports of ``__init__.py`` disagree on.  A refactor that stops
+using a name should delete it, not leave it behind."""
 
 import ast
 from pathlib import Path
@@ -94,6 +95,21 @@ def names_read(source):
     return read
 
 
+def public_imports(source):
+    """Names the module's top-level ``from`` imports bind, private ones
+    excepted."""
+    return [a.asname or a.name for node in ast.parse(source).body
+            if isinstance(node, ast.ImportFrom) for a in node.names
+            if not (a.asname or a.name).startswith("_")]
+
+
+def test_all_lists_exactly_the_package_imports():
+    # each __all__ entry is bound by an import, once, and each public
+    # import is listed: a rename cannot leave one side behind
+    imported = public_imports(Path(dynmatch.__file__).read_text())
+    assert sorted(dynmatch.__all__) == sorted(set(imported))
+
+
 def test_every_module_level_name_is_read():
     # __init__.py binds only the package's re-exports and dunders
     read = set().union(*(names_read(p.read_text()) for p in READERS))
@@ -171,3 +187,14 @@ def test_guard_finds_top_level_names(source, expected):
 )
 def test_guard_finds_names_read(source, expected):
     assert names_read(source) == expected
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("from .core import State, _hidden\n", ["State"]),
+        ("from .a import x as y\nimport os\nif True:\n    from .b import z\n", ["y"]),
+    ],
+)
+def test_guard_finds_public_imports(source, expected):
+    assert public_imports(source) == expected

@@ -22,6 +22,7 @@ from dynmatch import (
     IndexableSet,
     State,
     check_invariants,
+    check_ratio,
     find_3_aug_path,
     gen_named,
     gen_random,
@@ -770,12 +771,13 @@ class UnindexedOnMatch:
 
 class UpdateMachine(RuleBasedStateMachine):
     """Any interleaving of inserts, deletes and rejected updates keeps the
-    state clean, leaves a rejected update's state untouched, keeps every
-    empty container in its allocation-free form, never writes into the shared
-    empty nor puts it back in place of a written container, writes every
-    container as an IndexableSet, and indexes each vertex in all or none of
-    its neighbors' free indexes: none while matched, and all when free at an
-    update boundary."""
+    state clean and within 3/2 of the maximum matching, leaves a rejected
+    update's state untouched, keeps every empty container in its
+    allocation-free form, never writes into the shared empty nor puts it
+    back in place of a written container, writes every container as an
+    IndexableSet, and indexes each vertex in all or none of its neighbors'
+    free indexes: none while matched, and all when free at an update
+    boundary."""
 
     EMPTY_SIZE = sys.getsizeof(IndexableSet())
 
@@ -848,6 +850,10 @@ class UpdateMachine(RuleBasedStateMachine):
     def clean(self):
         rep = check_invariants(self.s)
         assert rep.ok, rep.to_text()
+
+    @invariant()
+    def within_three_halves_of_optimum(self):
+        assert check_ratio(self.s)
 
     @invariant()
     def level1_targets_covered(self):

@@ -5,7 +5,6 @@ import pytest
 
 from dynmatch import (
     Config,
-    OracleLimitError,
     State,
     Violation,
     ViolationReport,
@@ -80,26 +79,6 @@ def test_ratio_failure_stops_without_a_report(monkeypatch):
     seq = seven_ops()
     result = replay(State(Config(n=seq.n)), seq.ops, verify_every=1, oracle=True)
     assert (result.dirty_at, result.updates, result.report) == (2, 3, None)
-    assert (result.ratio_checked, result.ratio_failed, result.ratio_skipped) == (3, 1, 0)
-
-
-def test_beyond_the_oracle_guard_counts_as_skipped():
-    seq = gen_random(40, 120, 0.9, 1)
-    result = replay(State(Config(n=seq.n, seed=1)), seq.ops, oracle=True)
-    assert result.dirty_at is None and result.ratio_failed == 0
-    assert result.ratio_skipped > 0
-    assert result.ratio_checked + result.ratio_skipped == result.updates == 120
-
-
-def test_oracle_limit_is_never_a_pass(monkeypatch):
-    def too_big(state):
-        raise OracleLimitError("forced for test")
-
-    monkeypatch.setattr(replay_mod, "check_ratio", too_big)
-    seq = seven_ops()
-    result = replay(State(Config(n=seq.n)), seq.ops, oracle=True)
-    assert (result.ratio_checked, result.ratio_failed, result.ratio_skipped) == (0, 0, 7)
-    assert result.dirty_at is None
 
 
 def test_counts_match_an_explicit_loop():

@@ -1,4 +1,5 @@
 import ast
+import random
 from pathlib import Path
 
 import pytest
@@ -9,13 +10,12 @@ import dynmatch.verifier
 from conftest import index_free
 from dynmatch import (
     Config,
-    OracleLimitError,
     State,
-    brute_force_mcm,
     check_invariants,
     check_ratio,
     find_3_aug_path,
     gen_random,
+    maximum_matching_size,
     replay,
 )
 
@@ -49,57 +49,131 @@ PETERSEN = [
 ]
 
 
-def greedy_maximal_matching(adj):
-    matched = set()
-    size = 0
+def greedy_mate(adj):
+    mate = [None] * len(adj)
     for u in range(len(adj)):
-        if u in matched:
-            continue
-        for v in sorted(adj[u]):
-            if v not in matched:
-                matched.add(u)
-                matched.add(v)
-                size += 1
-                break
-    return size
+        if mate[u] is None:
+            for v in sorted(adj[u]):
+                if mate[v] is None:
+                    mate[u], mate[v] = v, u
+                    break
+    return mate
+
+
+def greedy_maximal_matching(adj):
+    return sum(m is not None for m in greedy_mate(adj)) // 2
+
+
+def draw_adj(data, n, max_edges):
+    pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pool), unique=True, max_size=max_edges))
+    return adj_from_edges(n, edges)
+
+
+def brute_force_mcm(adj):
+    """Exact maximum-matching size by exhaustive branching: an independent
+    reference for small graphs, exponential in the number of vertices.
+
+    Branches on the lowest-id active vertex (skip it, or match it to each
+    neighbor), memoizing on the active-vertex bitmask.
+    """
+    verts = [v for v in range(len(adj)) if adj[v]]
+    index = {v: i for i, v in enumerate(verts)}
+    nb = [sum(1 << index[w] for w in adj[v]) for v in verts]
+    memo = {}
+
+    def best(mask):
+        if not mask:
+            return 0
+        if mask not in memo:
+            u_bit = mask & -mask
+            rest = mask ^ u_bit
+            cand = nb[u_bit.bit_length() - 1] & rest
+            result = best(rest)
+            while cand:
+                v_bit = cand & -cand
+                cand ^= v_bit
+                result = max(result, 1 + best(rest ^ v_bit))
+            memo[mask] = result
+        return memo[mask]
+
+    return best((1 << len(verts)) - 1)
 
 
 class TestBruteForceMcm:
+    """Closed forms of the maximum-matching size.  Here they check the
+    exhaustive reference; TestMaximumMatchingSize inherits every one and
+    runs it on the package's oracle."""
+
+    size = staticmethod(brute_force_mcm)
+
     def test_triangle(self):
-        assert brute_force_mcm(adj_from_edges(3, cycle_edges(3))) == 1
+        assert self.size(adj_from_edges(3, cycle_edges(3))) == 1
 
     def test_path_five_vertices(self):
-        assert brute_force_mcm(adj_from_edges(5, path_edges(5))) == 2
+        assert self.size(adj_from_edges(5, path_edges(5))) == 2
 
     def test_petersen(self):
-        assert brute_force_mcm(adj_from_edges(10, PETERSEN)) == 5
+        assert self.size(adj_from_edges(10, PETERSEN)) == 5
 
     @pytest.mark.parametrize("k", range(2, 12))
     def test_path_closed_form(self, k):
-        assert brute_force_mcm(adj_from_edges(k, path_edges(k))) == k // 2
+        assert self.size(adj_from_edges(k, path_edges(k))) == k // 2
 
     @pytest.mark.parametrize("k", range(4, 13, 2))
     def test_even_cycle_closed_form(self, k):
-        assert brute_force_mcm(adj_from_edges(k, cycle_edges(k))) == k // 2
-
-    def test_size_guard(self):
-        n = 30
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n)][:40]
-        with pytest.raises(OracleLimitError):
-            brute_force_mcm(adj_from_edges(n, edges))
+        assert self.size(adj_from_edges(k, cycle_edges(k))) == k // 2
 
     def test_many_vertices_few_edges_allowed(self):
-        # 24 non-isolated vertices but only 12 edges: inside the edge guard.
+        # 24 non-isolated vertices on 12 disjoint edges
         edges = [(2 * i, 2 * i + 1) for i in range(12)]
-        assert brute_force_mcm(adj_from_edges(24, edges)) == 12
+        assert self.size(adj_from_edges(24, edges)) == 12
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 9), st.data())
     def test_at_least_greedy(self, n, data):
-        pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        edges = data.draw(st.lists(st.sampled_from(pool), unique=True, max_size=14))
-        adj = adj_from_edges(n, edges)
-        assert brute_force_mcm(adj) >= greedy_maximal_matching(adj)
+        adj = draw_adj(data, n, max_edges=14)
+        assert self.size(adj) >= greedy_maximal_matching(adj)
+
+
+def mates_to_start_from(adj, garbage):
+    """An empty, a greedy maximal and a garbage ``mate`` for ``adj``."""
+    return [None] * len(adj), greedy_mate(adj), garbage
+
+
+class TestMaximumMatchingSize(TestBruteForceMcm):
+    size = staticmethod(lambda adj: maximum_matching_size(adj, [None] * len(adj)))
+    # a hypothesis test runs under one class only; equality with the
+    # exhaustive reference, below, implies the greedy bound
+    test_at_least_greedy = None
+
+    @pytest.mark.parametrize("k", [41, 151])
+    def test_odd_cycle_beyond_exhaustive_search(self, k):
+        adj = adj_from_edges(k, cycle_edges(k))
+        for mate in mates_to_start_from(adj, [(v + 1) % k for v in range(k)]):
+            assert maximum_matching_size(adj, mate) == k // 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 12), st.data())
+    def test_matches_brute_force_from_any_mate(self, n, data):
+        adj = draw_adj(data, n, max_edges=20)
+        # garbage: non-edges, one-sided pairs, self-pointers, ids out of range
+        garbage = data.draw(st.lists(st.none() | st.integers(-1, n), min_size=n, max_size=n))
+        expected = brute_force_mcm(adj)
+        for mate in mates_to_start_from(adj, garbage):
+            assert maximum_matching_size(adj, mate) == expected
+
+    def test_matches_networkx_beyond_exhaustive_search(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(22)
+        for _ in range(1000):
+            n = rng.randint(20, 150)
+            graph = nx.gnp_random_graph(n, rng.uniform(1, 6) / n, seed=rng.randrange(2**32))
+            adj = [set(graph[u]) for u in range(n)]
+            expected = len(nx.max_weight_matching(graph, maxcardinality=True))
+            garbage = [rng.choice((None, rng.randrange(n))) for _ in range(n)]
+            for mate in mates_to_start_from(adj, garbage):
+                assert maximum_matching_size(adj, mate) == expected
 
 
 class TestFind3AugPath:
@@ -489,11 +563,9 @@ class TestCheckRatio:
         assert check_ratio(State(Config(n=3)))
 
     def test_engine_states_always_pass(self):
-        from dynmatch import gen_random, replay
-
         seq = gen_random(10, 150, 0.6, 3)
         result = replay(State(Config(n=10, seed=4)), seq.ops, oracle=True)
-        assert result.ratio_checked == 150 and result.ratio_failed == 0
+        assert result.updates == 150 and result.dirty_at is None
 
     def test_half_matching_fails(self):
         # 4-path with only the middle edge matched: optimum 2, 2*2 > 3*1.
@@ -504,14 +576,14 @@ class TestCheckRatio:
         match(s, 1, 2)
         assert not check_ratio(s)
 
-    def test_guard_propagates(self):
+    @pytest.mark.parametrize("step, expected", [(2, True), (4, False)])
+    def test_forty_vertex_path(self, step, expected):
+        # optimum 20: a perfect matching (20 pairs) passes, one middle edge
+        # of every 4-vertex block (10 pairs) fails, as 2 * 20 > 3 * 10
         s = State(Config(n=40))
-        k = 0
-        for u in range(40):
-            for v in range(u + 1, 40):
-                if k >= 40:
-                    break
-                s.add_edge(u, v)
-                k += 1
-        with pytest.raises(OracleLimitError):
-            check_ratio(s)
+        for u, v in path_edges(40):
+            s.add_edge(u, v)
+            s.own_add(u, v)
+        for u in range(step // 2 - 1, 40, step):
+            match(s, u, u + 1)
+        assert check_ratio(s) is expected
