@@ -220,7 +220,8 @@ def maximum_matching_size(adj: list[set[int]], mate: list[int | None]) -> int:
         base = list(range(n))
         outer = [False] * n
         outer[root] = True
-        queue, tree = [root], [root]  # outer vertices to scan; all tree vertices
+        queue = [root]  # outer vertices to scan
+        members: dict[int, list[int]] = {}  # blossom base -> every vertex it contains
 
         def common_base(a: int, b: int) -> int:
             path = set()
@@ -250,8 +251,12 @@ def maximum_matching_size(adj: list[set[int]], mate: list[int | None]) -> int:
                     blossom: set[int] = set()
                     mark(v, b, w, blossom)
                     mark(w, b, v, blossom)
-                    for i in tree:
-                        if base[i] in blossom:
+                    blossom.discard(b)
+                    merged = members.setdefault(b, [b])
+                    for x in blossom:  # relabel only the vertices being contracted
+                        group = members.pop(x, [x])
+                        merged.extend(group)
+                        for i in group:
                             base[i] = b
                             if not outer[i]:
                                 outer[i] = True
@@ -265,7 +270,6 @@ def maximum_matching_size(adj: list[set[int]], mate: list[int | None]) -> int:
                         return
                     outer[match[w]] = True
                     queue.append(match[w])
-                    tree += (w, match[w])
 
     for root in range(n):
         if match[root] is None and adj[root]:

@@ -2,7 +2,8 @@
 
 A sequence is replayable when every insert targets an absent edge and every
 delete a present one, with no self-loops; generators produce replayable
-sequences by construction and :func:`parse` enforces it line by line.
+sequences by construction.  :func:`parse` and
+:meth:`UpdateSequence.final_edges` enforce it with one rule, :func:`_replay`.
 Generator randomness is independent of the algorithm's randomness: the
 sequences never depend on how the structure responds.
 """
@@ -52,32 +53,36 @@ class UpdateSequence:
         Raises :class:`SequenceFormatError` at the first op that is
         malformed or not replayable.
         """
-        edges: set[tuple[int, int]] = set()
-        for i, op in enumerate(self.ops, start=1):
-            fault = _apply_op(self.n, edges, op)
-            if fault:
-                raise SequenceFormatError(None, f"op {i}: {fault}")
-        return sorted(edges)
+        keys, fault = _replay(self.n, self.ops)
+        if fault:
+            raise SequenceFormatError(None, f"op {fault[0] + 1}: {fault[1]}")
+        return [divmod(key, self.n) for key in sorted(keys)]
 
 
-def _apply_op(n: int, edges: set[tuple[int, int]], op: UpdateOp) -> str | None:
-    """Apply ``op`` to ``edges``, or leave them and say why it cannot apply."""
-    if op.u == op.v:
-        return f"self-loop {op.u}"
-    if not (0 <= op.u < n and 0 <= op.v < n):
-        return f"vertex out of range in ({op.u}, {op.v})"
-    e = op.edge()
-    if op.kind == INSERT:
-        if e in edges:
-            return f"insert of present edge {e}"
-        edges.add(e)
-    elif op.kind == DELETE:
-        if e not in edges:
-            return f"delete of absent edge {e}"
-        edges.remove(e)
-    else:
-        return f"unknown op kind {op.kind!r}"
-    return None
+def _replay(n: int, ops: list[UpdateOp]) -> tuple[set[int], tuple[int, str] | None]:
+    """Replay ``ops`` from empty on edge keys ``u * n + v`` (u < v).  Returns
+    (final keys, None), or (keys so far, (index, reason)) at the first op
+    that cannot apply.  Ids are range-checked before a key is formed, so an
+    out-of-range pair cannot alias a real edge."""
+    keys: set[int] = set()
+    add, remove = keys.add, keys.remove
+    for i, (kind, u, v) in enumerate(ops):
+        if u == v:
+            return keys, (i, f"self-loop {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            return keys, (i, f"vertex out of range in ({u}, {v})")
+        key = u * n + v if u < v else v * n + u
+        if kind == INSERT:
+            if key in keys:
+                return keys, (i, f"insert of present edge {divmod(key, n)}")
+            add(key)
+        elif kind == DELETE:
+            if key not in keys:
+                return keys, (i, f"delete of absent edge {divmod(key, n)}")
+            remove(key)
+        else:
+            return keys, (i, f"unknown op kind {kind!r}")
+    return keys, None
 
 
 def gen_random(n: int, t: int, p_insert: float, seed: int) -> UpdateSequence:
@@ -209,7 +214,9 @@ def serialize(seq: UpdateSequence) -> str:
 
 
 def parse(text: str) -> UpdateSequence:
-    """Inverse of :func:`serialize`; validates replayability as it reads."""
+    """Inverse of :func:`serialize`.  Each later line is split once: blank, a
+    ``#`` comment or ``<+|-> <u> <v>``.  The ops are then checked by
+    :func:`_replay`, and the first fault, in syntax or replay, raised at its line."""
     lines = text.splitlines()
     if not lines:
         raise SequenceFormatError(1, "empty input, expected n=<int> header")
@@ -223,31 +230,39 @@ def parse(text: str) -> UpdateSequence:
     if n < 1:
         raise SequenceFormatError(1, f"vertex count must be >= 1, got {n}")
     seq = UpdateSequence(n=n)
-    edges: set[tuple[int, int]] = set()
-    for line_no, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            for token in line[1:].split():
-                if token.startswith("seed="):
-                    try:
-                        seq.seed = int(token[5:])
-                    except ValueError:
-                        raise SequenceFormatError(line_no, f"bad seed {token!r}") from None
-                elif token.startswith("gen="):
-                    seq.gen = token[4:]
-            continue
-        parts = line.split()
-        if len(parts) != 3 or parts[0] not in (INSERT, DELETE):
-            raise SequenceFormatError(line_no, f"expected '<+|-> <u> <v>', got {raw!r}")
-        try:
-            u, v = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise SequenceFormatError(line_no, f"non-integer vertex in {raw!r}") from None
-        op = UpdateOp(parts[0], u, v)
-        fault = _apply_op(n, edges, op)
-        if fault:
-            raise SequenceFormatError(line_no, fault)
-        seq.ops.append(op)
+    append = seq.ops.append
+    new = tuple.__new__  # skips UpdateOp's Python-level __new__
+    syntax_error = None
+    try:
+        for line_no, raw in enumerate(lines[1:], start=2):
+            parts = raw.split()
+            if not parts:
+                continue
+            kind = parts[0]
+            if kind[0] == "#":
+                parts[0] = kind[1:]
+                for token in parts:
+                    if token.startswith("seed="):
+                        try:
+                            seq.seed = int(token[5:])
+                        except ValueError:
+                            raise SequenceFormatError(line_no, f"bad seed {token!r}") from None
+                    elif token.startswith("gen="):
+                        seq.gen = token[4:]
+                continue
+            if len(parts) != 3 or (kind != INSERT and kind != DELETE):
+                raise SequenceFormatError(line_no, f"expected '<+|-> <u> <v>', got {raw!r}")
+            try:
+                append(new(UpdateOp, (kind, int(parts[1]), int(parts[2]))))
+            except ValueError:
+                raise SequenceFormatError(line_no, f"non-integer vertex in {raw!r}") from None
+    except SequenceFormatError as exc:
+        syntax_error = exc
+    fault = _replay(n, seq.ops)[1]
+    if fault:  # its op precedes any syntax error; ops are the lines that are not blank or comments
+        op_lines = [line_no for line_no, raw in enumerate(lines[1:], start=2)
+                    if raw.lstrip()[:1] not in ("", "#")]
+        raise SequenceFormatError(op_lines[fault[0]], fault[1])
+    if syntax_error:
+        raise syntax_error
     return seq

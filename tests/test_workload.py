@@ -18,6 +18,153 @@ from dynmatch import (
 )
 
 
+# A test-only reference: the per-line parser and per-op rule that
+# ``parse`` and ``UpdateSequence.final_edges`` replaced.  Both must agree
+# with it on every text and every built sequence, faults included.
+def _reference_apply_op(n, edges, op):
+    """Apply ``op`` to ``edges``, or leave them and say why it cannot apply."""
+    if op.u == op.v:
+        return f"self-loop {op.u}"
+    if not (0 <= op.u < n and 0 <= op.v < n):
+        return f"vertex out of range in ({op.u}, {op.v})"
+    e = op.edge()
+    if op.kind == INSERT:
+        if e in edges:
+            return f"insert of present edge {e}"
+        edges.add(e)
+    elif op.kind == DELETE:
+        if e not in edges:
+            return f"delete of absent edge {e}"
+        edges.remove(e)
+    else:
+        return f"unknown op kind {op.kind!r}"
+    return None
+
+
+def reference_final_edges(seq):
+    edges = set()
+    for i, op in enumerate(seq.ops, start=1):
+        fault = _reference_apply_op(seq.n, edges, op)
+        if fault:
+            raise SequenceFormatError(None, f"op {i}: {fault}")
+    return sorted(edges)
+
+
+def reference_parse(text):
+    lines = text.splitlines()
+    if not lines:
+        raise SequenceFormatError(1, "empty input, expected n=<int> header")
+    header = lines[0].strip()
+    if not header.startswith("n="):
+        raise SequenceFormatError(1, f"expected n=<int> header, got {header!r}")
+    try:
+        n = int(header[2:])
+    except ValueError:
+        raise SequenceFormatError(1, f"bad vertex count {header[2:]!r}") from None
+    if n < 1:
+        raise SequenceFormatError(1, f"vertex count must be >= 1, got {n}")
+    seq = UpdateSequence(n=n)
+    edges = set()
+    for line_no, raw in enumerate(lines[1:], start=2):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            for token in line[1:].split():
+                if token.startswith("seed="):
+                    try:
+                        seq.seed = int(token[5:])
+                    except ValueError:
+                        raise SequenceFormatError(line_no, f"bad seed {token!r}") from None
+                elif token.startswith("gen="):
+                    seq.gen = token[4:]
+            continue
+        parts = line.split()
+        if len(parts) != 3 or parts[0] not in (INSERT, DELETE):
+            raise SequenceFormatError(line_no, f"expected '<+|-> <u> <v>', got {raw!r}")
+        try:
+            u, v = int(parts[1]), int(parts[2])
+        except ValueError:
+            raise SequenceFormatError(line_no, f"non-integer vertex in {raw!r}") from None
+        op = UpdateOp(parts[0], u, v)
+        fault = _reference_apply_op(n, edges, op)
+        if fault:
+            raise SequenceFormatError(line_no, fault)
+        seq.ops.append(op)
+    return seq
+
+
+def outcome(fn, arg):
+    """What ``fn(arg)`` gives: its value, or its SequenceFormatError's text
+    and line."""
+    try:
+        return fn(arg)
+    except SequenceFormatError as exc:
+        return ("error", str(exc), exc.line_no)
+
+
+def parse_outcome(fn, text):
+    """``outcome`` of ``fn(text)``, with a parsed sequence as its fields."""
+    seq = outcome(fn, text)
+    if isinstance(seq, tuple):
+        return seq
+    assert all(type(op) is UpdateOp for op in seq.ops)
+    return (seq.n, seq.ops, seq.seed, seq.gen)
+
+
+# Lines that keep a text valid, and lines that each break it one way.
+NOISE_LINES = ["", "   ", "\t", "# note", "#seed=5", "# seed=7 gen=zip", "  #gen=a b",
+               "\t# seed=-3"]
+FAULT_LINES = ["* 0 1", "+ 0", "+ 0 1 2", "- x 1", "+ 1.5 0", "+ 1 1", "+ 0 {n}", "- -1 0",
+               "# seed=bad", "+0 1", "n=3", "+ 0 1 # inline"]
+
+
+@st.composite
+def texts(draw):
+    """A serialized random sequence with lines inserted anywhere, spaces
+    turned to tabs and either line ending: valid texts and texts with a
+    fault of every kind, in syntax (kind, token count, integer ids, seed)
+    and in replay (self-loop, range, present insert, absent delete)."""
+    n = draw(st.integers(1, 6))
+    seq = gen_random(n, draw(st.integers(0, 25)), 0.6, draw(st.integers(0, 99))) if n > 1 \
+        else UpdateSequence(n=1)
+    lines = serialize(seq).splitlines()
+    ids = st.integers(0, n - 1)
+    op_lines = st.builds("{} {} {}".format, st.sampled_from([INSERT, DELETE]), ids, ids)
+    extra = st.one_of(st.sampled_from(NOISE_LINES), st.sampled_from(FAULT_LINES), op_lines)
+    for _ in range(draw(st.integers(0, 4))):
+        # now and then before the header, otherwise after it
+        at = 0 if draw(st.integers(0, 9)) == 9 else draw(st.integers(1, len(lines)))
+        lines.insert(at, draw(extra).format(n=n))
+    lines = [line.replace(" ", "\t") if draw(st.booleans()) else line for line in lines]
+    sep = draw(st.sampled_from(["\n", "\r\n"]))
+    return sep.join(lines) + draw(st.sampled_from(["", sep]))
+
+
+class TestReferenceParser:
+    @settings(max_examples=400, deadline=None)
+    @given(texts())
+    def test_parse_matches_the_reference(self, text):
+        assert parse_outcome(parse, text) == parse_outcome(reference_parse, text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.lists(st.tuples(st.sampled_from([INSERT, DELETE, INSERT, "*"]),
+                                                 st.integers(-1, 7), st.integers(-1, 7)),
+                                       max_size=25))
+    def test_final_edges_matches_the_reference(self, n, ops):
+        seq = UpdateSequence(n=n, ops=[UpdateOp(*op) for op in ops])
+        assert outcome(UpdateSequence.final_edges, seq) == outcome(reference_final_edges, seq)
+
+    def test_sparse_large_round_trip(self):
+        # the benchmark's sparse-large shape at a seed it does not use
+        seq = gen_random(65536, 131072, 0.6, 31)
+        text = serialize(seq)
+        again = parse(text)
+        assert (again.n, again.ops, again.seed, again.gen) == (seq.n, seq.ops, seq.seed, seq.gen)
+        assert parse_outcome(parse, text) == parse_outcome(reference_parse, text)
+        assert again.final_edges() == reference_final_edges(seq)
+
+
 class TestGenRandom:
     def test_empty(self):
         assert gen_random(4, 0, 0.5, 0).ops == []
@@ -155,16 +302,30 @@ class TestTeardown:
             extend_with_teardown(seq)
 
     def test_a_bad_op_reads_as_its_line_when_parsed_and_its_position_when_built(self):
-        seq = UpdateSequence(n=4, ops=[UpdateOp(INSERT, 0, 1), UpdateOp(DELETE, 2, 3)],
-                             gen="random", seed=1)
-        with pytest.raises(SequenceFormatError) as built:
+        # op k is line k + 2, after the header and the metadata comment
+        n, good = 4, UpdateOp(INSERT, 1, 2)
+        for bad, reason in [
+            (UpdateOp(DELETE, 2, 3), "delete of absent edge (2, 3)"),
+            (UpdateOp(INSERT, 2, 1), "insert of present edge (1, 2)"),
+            (UpdateOp(INSERT, 3, 3), "self-loop 3"),
+            (UpdateOp(INSERT, 0, 4), "vertex out of range in (0, 4)"),
+            (UpdateOp(DELETE, -1, 2), "vertex out of range in (-1, 2)"),
+            # 0 * 4 + 6 is the key of (1, 2): the range check runs first
+            (UpdateOp(DELETE, 0, 6), "vertex out of range in (0, 6)"),
+        ]:
+            seq = UpdateSequence(n=n, ops=[good, bad], gen="random", seed=1)
+            with pytest.raises(SequenceFormatError) as built:
+                seq.final_edges()
+            with pytest.raises(SequenceFormatError) as parsed:
+                parse(serialize(seq))
+            assert (str(built.value), built.value.line_no) == (f"op 2: {reason}", None)
+            assert (str(parsed.value), parsed.value.line_no) == (f"line 4: {reason}", 4)
+        # an unknown kind has no text form: it reads as a malformed line
+        seq = UpdateSequence(n=n, ops=[good, UpdateOp("*", 0, 1)], gen="random", seed=1)
+        with pytest.raises(SequenceFormatError, match=r"^op 2: unknown op kind '\*'$"):
             seq.final_edges()
-        with pytest.raises(SequenceFormatError) as parsed:
-            parse(serialize(seq))  # header and metadata comment come first
-        assert (str(built.value), built.value.line_no) == (
-            "op 2: delete of absent edge (2, 3)", None)
-        assert (str(parsed.value), parsed.value.line_no) == (
-            "line 4: delete of absent edge (2, 3)", 4)
+        with pytest.raises(SequenceFormatError, match=r"^line 4: expected '<\+\|-> <u> <v>', "):
+            parse(serialize(seq))
 
     def test_already_empty_unchanged(self):
         seq = UpdateSequence(n=3, ops=[UpdateOp(INSERT, 0, 1), UpdateOp(DELETE, 0, 1)])
