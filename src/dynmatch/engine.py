@@ -31,9 +31,12 @@ and :func:`insert_edge`/:func:`delete_edge` reject an out-of-range id, a
 self-loop, a duplicate insert and an absent delete before any mutation.
 Below them nothing is re-checked: the procedures, the macros and the
 :mod:`dynmatch.core` primitives trust their callers, and ``_match`` and
-``_unmatch`` are the only writers of the matching and the only emitters of
-the observer's epoch events (a level raise restarts an epoch by unmatching
-and matching the pair again).  The verifier is the safety net.
+``_unmatch`` are the only writers of the matching.  The verifier is the
+safety net.
+
+An attached observer's hooks are handed the state first, plus only what
+the engine alone knows: the update, the pair matched or unmatched, the
+deleted edge and the owned neighbors a random settle starts from.
 
 All or none, and matched means unindexed: a vertex sits in every
 neighbor's free index or in none, and in none while matched.  ``_match``
@@ -69,15 +72,11 @@ PROCEDURE_NAMES = (
 
 
 def _match(state, u, v, *, init=None):
-    """Match u and v, plus the epoch-creation event for the metrics observer.
-
-    The event's creator is the running procedure, the last trace entry:
-    every procedure matches before it calls another one.  ``init`` is the
-    snapshot of u's owned edges that a random settle takes: the epoch is
-    random, and owned by u, exactly when it is given.  Both endpoints
-    leave the free indexes first, each only if its partner's index holds
-    it (all or none, and (u, v) is an edge): for a new edge between two
-    free vertices :func:`insert_edge` has already done so.
+    """Match u and v, and report it to the observer with ``init``, the
+    owned neighbors a random settle started u from.  Both endpoints leave
+    the free indexes first, each only if its partner's index holds it
+    (all or none, and (u, v) is an edge): for a new edge between two free
+    vertices :func:`insert_edge` has already done so.
     """
     free_index = state.free_index
     if u in free_index[v]:
@@ -88,18 +87,8 @@ def _match(state, u, v, *, init=None):
     mate[u] = v
     mate[v] = u
     state.matching_size += 1
-    obs = state.observer
-    if obs is not None:
-        level = state.level
-        obs.on_match_set(
-            state.update_index,
-            (u, v) if u < v else (v, u),
-            max(level[u], level[v]),
-            "deterministic" if init is None else "random",
-            creator=state.trace[-1][0],
-            owner=None if init is None else u,
-            owned_init=init,
-        )
+    if state.observer is not None:
+        state.observer.on_match_set(state, u, v, init)
 
 
 def _unmatch(state, u, v):
@@ -107,9 +96,8 @@ def _unmatch(state, u, v):
     mate[u] = None
     mate[v] = None
     state.matching_size -= 1
-    obs = state.observer
-    if obs is not None:
-        obs.on_match_unset(state.update_index, (u, v) if u < v else (v, u))
+    if state.observer is not None:
+        state.observer.on_match_unset(state, u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +260,8 @@ def random_settle_augmented(state: State, u: int) -> None:
     any, is settled here by its level, deterministically.
     """
     state.trace.append(("random_settle_augmented", u))
-    obs = state.observer
-    init = None
-    if obs is not None:
-        init = tuple(
-            (u, w) if u < w else (w, u) for w in sorted(state.owners[u])
-        )
+    # taken now: transfer_ownership_to(y) may move (u, y) away from u
+    init = None if state.observer is None else tuple(state.owners[u])
     y = state.owners[u].sample(state.rng)
     transfer_ownership_to(state, y)
     # y now owns (y, u), and u rises below without a scan.
@@ -310,7 +294,7 @@ def deterministic_raise_level_to_1(state: State, u: int) -> None:
 
     u takes every incident edge; its mate collects the edges owned by its
     own level-0 neighbors.  The pair is unmatched and matched again at
-    level 1, so its epoch restarts at level 1 for the metrics stream.
+    level 1, so an observer sees the match made again at its new level.
     """
     state.trace.append(("deterministic_raise_level_to_1", u))
     v = state.mate[u]
@@ -488,7 +472,7 @@ def insert_edge(state: State, u: int, v: int) -> list[tuple]:
     trace = state.trace = []
     obs = state.observer
     if obs is not None:
-        obs.on_update_begin(state.update_index, "+", u, v)
+        obs.on_update_begin(state, "+", u, v)
     mate = state.mate
     free_u = mate[u] is None
     free_v = mate[v] is None
@@ -529,7 +513,7 @@ def insert_edge(state: State, u: int, v: int) -> list[tuple]:
     else:
         handle_insert_level0(state, u, v)
     if obs is not None:
-        obs.on_update_end(state.update_index, state.matching_size)
+        obs.on_update_end(state)
     return trace
 
 
@@ -549,7 +533,7 @@ def delete_edge(state: State, u: int, v: int) -> list[tuple]:
     trace = state.trace = []
     obs = state.observer
     if obs is not None:
-        obs.on_update_begin(state.update_index, "-", u, v)
+        obs.on_update_begin(state, "-", u, v)
     state.remove_edge(u, v)
     if v in state.owners[u]:
         state.own_remove(u, v)
@@ -563,16 +547,16 @@ def delete_edge(state: State, u: int, v: int) -> list[tuple]:
     was_matched = mate[u] == v
     if was_matched:
         _unmatch(state, u, v)
-    # Fired after the unset: an epoch's own edge deletion is not one of the
-    # prior init-set deletions its classification counts.
+    # Fired after the unset, so an observer sees a matched edge's deletion
+    # after the unmatch it caused.
     if obs is not None:
-        obs.on_edge_deleted(state.update_index, (u, v) if u < v else (v, u))
+        obs.on_edge_deleted(state, u, v)
     if was_matched:
         _settle(state, u, 0)
         if mate[v] is None:
             _settle(state, v, 0)
     if obs is not None:
-        obs.on_update_end(state.update_index, state.matching_size)
+        obs.on_update_end(state)
     return trace
 
 

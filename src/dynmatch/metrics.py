@@ -1,16 +1,16 @@
 """Epoch tracking and run statistics.
 
-An *epoch* is the maximal interval during which one edge stays matched; it
-inherits the level and the random/deterministic class of the step that
-created it.  A level raise of a matched edge restarts its epoch at level 1.
+An *epoch* is the maximal interval during which one edge stays matched.
+:class:`EpochTracker` alone defines it, from the matches, unmatches and
+edge deletions the engine reports and the state each report comes with.
+A level raise of a matched edge restarts its epoch at level 1.
 
-Random epochs are level 1 (a random settle raises both endpoints first) and
-snapshot the owner's edge list, so the tracker can count how much of it the
-workload deletes before the epoch dies.  Each random epoch heads an
-*epoch-set*, joined by the deterministic level-1 epochs created after it in
-the same update (before the next random one), as ``created_at`` and record
-order show.  A set is *good* if its random epoch outlived deletion of at
-least a third of its initial list, otherwise *bad*.
+A *random* epoch is one a random settle creates: level 1, and owned by the
+settling vertex.  Each random epoch heads an *epoch-set*, joined by the
+deterministic level-1 epochs created after it in the same update (before
+the next random one), as ``created_at`` and record order show.  A set is
+*good* if its random epoch outlived deletion of at least a third of its
+owner's initial edge list, otherwise *bad*.
 """
 
 from __future__ import annotations
@@ -53,62 +53,67 @@ def classify_epoch_set(rep: EpochRecord) -> str:
 
 
 class EpochTracker:
-    """Observer fed by the engine's per-update event hooks."""
+    """Observer that turns the engine's five hooks, each handed the state
+    first, into epoch records.
+
+    ``on_match_set`` derives every record field: the update index, the
+    higher endpoint level, the creator (the last trace entry) and, when
+    ``owned_init`` is given, the random class and the owner u.  ``_watching``
+    keeps one watch per live random epoch, keyed by its owner, which is
+    matched in it: the snapshot neighbors not yet deleted, each counted once.
+    """
 
     def __init__(self) -> None:
         self.epochs: list[EpochRecord] = []
-        self._live: dict[tuple[int, int], int] = {}
-        self._watchers: dict[tuple[int, int], list[int]] = {}
+        self._live: dict[tuple[int, int], EpochRecord] = {}
+        self._watching: dict[int, tuple[EpochRecord, set[int]]] = {}
 
     # -- engine hooks --------------------------------------------------
 
-    def on_update_begin(self, index: int, kind: str, u: int, v: int) -> None:
-        """Nothing to open: each event carries its update's index."""
+    def on_update_begin(self, state, kind: str, u: int, v: int) -> None:
+        """Nothing to open: each hook reads the update index from the state."""
 
-    def on_update_end(self, index: int, matching_size: int) -> None:
-        """Nothing to close: each event carries its update's index."""
+    def on_update_end(self, state) -> None:
+        """Nothing to close: each hook reads the update index from the state."""
 
-    def on_match_set(
-        self,
-        index: int,
-        edge: tuple[int, int],
-        level: int,
-        cls: str,
-        *,
-        creator: str,
-        owner: int | None,
-        owned_init: tuple[tuple[int, int], ...] | None,
-    ) -> None:
+    def on_match_set(self, state, u: int, v: int, owned_init) -> None:
+        edge = (u, v) if u < v else (v, u)
         if edge in self._live:
             raise ValueError(f"epoch for {edge} already open")
-        eid = len(self.epochs)
-        self.epochs.append(EpochRecord(
+        rec = EpochRecord(
             edge=edge,
-            created_at=index,
-            level=level,
-            cls=cls,
-            creator=creator,
-            owner=owner,
-            owner_init_size=len(owned_init) if owned_init is not None else None,
-        ))
-        self._live[edge] = eid
-        if owned_init:
-            for e in owned_init:
-                self._watchers.setdefault(e, []).append(eid)
+            created_at=state.update_index,
+            level=max(state.level[u], state.level[v]),
+            cls="deterministic" if owned_init is None else "random",
+            creator=state.trace[-1][0],
+        )
+        if owned_init is not None:
+            if u in self._watching:
+                raise ValueError(f"vertex {u} already owns a live random epoch")
+            rec.owner = u
+            rec.owner_init_size = len(owned_init)
+            self._watching[u] = (rec, set(owned_init))
+        self.epochs.append(rec)
+        self._live[edge] = rec
 
-    def on_match_unset(self, index: int, edge: tuple[int, int]) -> None:
-        eid = self._live.pop(edge, None)
-        if eid is None:
+    def on_match_unset(self, state, u: int, v: int) -> None:
+        edge = (u, v) if u < v else (v, u)
+        rec = self._live.pop(edge, None)
+        if rec is None:
             raise ValueError(f"unset without an open epoch for {edge}")
-        self.epochs[eid].terminated_at = index
+        rec.terminated_at = state.update_index
+        if rec.owner is not None:
+            del self._watching[rec.owner]
 
-    def on_edge_deleted(self, index: int, edge: tuple[int, int]) -> None:
-        watchers = self._watchers.pop(edge, None)
-        if watchers:
-            for eid in watchers:
-                rec = self.epochs[eid]
-                if rec.live:
-                    rec.deletions_from_init += 1
+    def on_edge_deleted(self, state, u: int, v: int) -> None:
+        watching = self._watching
+        if not watching:
+            return
+        for owner, w in ((u, v), (v, u)):
+            rec, left = watching.get(owner, (None, ()))
+            if w in left:
+                left.remove(w)
+                rec.deletions_from_init += 1
 
     # -- summaries ------------------------------------------------------
 

@@ -757,11 +757,8 @@ class UnindexedOnMatch:
     every free vertex sits in all its neighbors' indexes or in none: the
     rule ``_match`` relies on to test one index."""
 
-    def __init__(self, state):
-        self.state = state
-
-    def on_match_set(self, index, edge, level, cls, *, creator, owner, owned_init):
-        assert_indexed_all_or_none(self.state, boundary=False)
+    def on_match_set(self, state, u, v, owned_init):
+        assert_indexed_all_or_none(state, boundary=False)
 
     def _ignore(self, *args):
         pass
@@ -788,7 +785,7 @@ class UpdateMachine(RuleBasedStateMachine):
     )
     def build(self, n, threshold, seed):
         self.s = State(Config(n=n, threshold=threshold, seed=seed))
-        self.s.observer = UnindexedOnMatch(self.s)
+        self.s.observer = UnindexedOnMatch()
         # vertex -> its written ownership list, and its written free index:
         # once written, a container keeps its object for good
         self.written = ({}, {})
@@ -1020,9 +1017,16 @@ def _replay_digest(key, fields=_trace_fields):
     return h.hexdigest()
 
 
+def _edge(u, v):
+    return (u, v) if u < v else (v, u)
+
+
 class EventRecorder:
-    """An observer with all five hooks that hashes each call's hook name and
-    arguments, keywords included, in the order the engine makes them."""
+    """An observer with all five hooks that hashes, in the order the engine
+    makes them, each call's hook name and the facts it stands for, read
+    from the state it is handed: the update index, the normalised edge
+    and, for a match, its level, class, creator, owner and the sorted
+    snapshot of the owner's edges."""
 
     def __init__(self):
         self.sha = hashlib.sha256()
@@ -1030,20 +1034,27 @@ class EventRecorder:
     def _record(self, *event):
         self.sha.update(repr(event).encode())
 
-    def on_update_begin(self, index, kind, u, v):
-        self._record("on_update_begin", index, kind, u, v)
+    def on_update_begin(self, state, kind, u, v):
+        self._record("on_update_begin", state.update_index, kind, u, v)
 
-    def on_update_end(self, index, matching_size):
-        self._record("on_update_end", index, matching_size)
+    def on_update_end(self, state):
+        self._record("on_update_end", state.update_index, state.matching_size)
 
-    def on_match_set(self, index, edge, level, cls, *, creator, owner, owned_init):
-        self._record("on_match_set", index, edge, level, cls, creator, owner, owned_init)
+    def on_match_set(self, state, u, v, owned_init):
+        random = owned_init is not None
+        self._record(
+            "on_match_set", state.update_index, _edge(u, v),
+            max(state.level[u], state.level[v]),
+            "random" if random else "deterministic", state.trace[-1][0],
+            u if random else None,
+            tuple(_edge(u, w) for w in sorted(owned_init)) if random else None,
+        )
 
-    def on_match_unset(self, index, edge):
-        self._record("on_match_unset", index, edge)
+    def on_match_unset(self, state, u, v):
+        self._record("on_match_unset", state.update_index, _edge(u, v))
 
-    def on_edge_deleted(self, index, edge):
-        self._record("on_edge_deleted", index, edge)
+    def on_edge_deleted(self, state, u, v):
+        self._record("on_edge_deleted", state.update_index, _edge(u, v))
 
 
 def _event_digest(key):
@@ -1088,6 +1099,34 @@ def test_each_procedure_names_itself_once():
     assert {name: literals[name] for name in eng.PROCEDURE_NAMES} == {
         name: 2 for name in eng.PROCEDURE_NAMES
     }
+
+
+def test_engine_holds_no_epoch_vocabulary():
+    """Epochs are defined by the metrics tracker alone: the engine names no
+    epoch class, never reads back its trace (it only appends to it), and
+    hands each observer hook the state first."""
+    tree = ast.parse(Path(eng.__file__).read_text(encoding="utf-8"))
+    classes = [
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in ("random", "deterministic")
+    ]
+    assert classes == []
+    trace_reads = [
+        ast.unparse(node) for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript) and ast.unparse(node.value) == "state.trace"
+    ]
+    assert trace_reads == []
+    hooks = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr.startswith("on_")
+    ]
+    assert {call.func.attr for call in hooks} == {
+        "on_update_begin", "on_update_end", "on_match_set", "on_match_unset",
+        "on_edge_deleted",
+    }
+    for call in hooks:
+        assert call.args and ast.unparse(call.args[0]) == "state", ast.unparse(call)
 
 
 # Every pinned key, plus the named patterns the pins leave out.

@@ -94,6 +94,68 @@ class TestEpochEvents:
                         "naive_settle_augmented", "handle_delete_level1"}
 
 
+class TestWatch:
+    """A live random epoch counts each edge of its owner's initial list at
+    that edge's first deletion, and nothing once the epoch has ended."""
+
+    def opened(self, tr, s, u, v, owned_init):
+        s.trace = [("random_settle_augmented", u)]
+        s.level[u] = s.level[v] = 1
+        tr.on_match_set(s, u, v, owned_init)
+        return tr.epochs[-1]
+
+    def test_redeleted_snapshot_edge_counts_once(self):
+        s, tr = tracked_state(6)
+        rec = self.opened(tr, s, 0, 1, (1, 2, 3))
+        tr.on_edge_deleted(s, 0, 2)
+        tr.on_edge_deleted(s, 2, 0)  # after a re-insert
+        assert rec.deletions_from_init == 1
+
+    def test_deletion_after_epoch_ends_counts_nothing(self):
+        s, tr = tracked_state(6)
+        rec = self.opened(tr, s, 0, 1, (1, 2, 3))
+        tr.on_match_unset(s, 1, 0)
+        tr.on_edge_deleted(s, 0, 2)
+        assert rec.deletions_from_init == 0 and not tr._watching
+
+    def test_own_edge_deleted_after_unset_counts_nothing(self):
+        s, tr = tracked_state(6)
+        rec = self.opened(tr, s, 0, 1, (1, 2, 3))
+        tr.on_match_unset(s, 0, 1)
+        tr.on_edge_deleted(s, 0, 1)
+        assert rec.deletions_from_init == 0
+
+    def test_shared_edge_counts_for_both_owners(self):
+        s, tr = tracked_state(6)
+        a = self.opened(tr, s, 0, 1, (1, 2))
+        b = self.opened(tr, s, 2, 3, (3, 0))
+        tr.on_edge_deleted(s, 2, 0)
+        assert (a.deletions_from_init, b.deletions_from_init) == (1, 1)
+
+    def test_second_live_watch_for_an_owner_rejected(self):
+        s, tr = tracked_state(6)
+        self.opened(tr, s, 0, 1, (1, 2))
+        with pytest.raises(ValueError):
+            self.opened(tr, s, 0, 2, (1, 2))
+
+    @pytest.mark.parametrize("seq, threshold", [
+        (gen_named("star-churn", 256, 0), None),
+        (gen_random(16, 1200, 0.6, 8), 2),
+    ], ids=["star-churn-256", "random-16-threshold-2"])
+    def test_one_watch_per_live_random_epoch(self, seq, threshold):
+        s, tr = tracked_state(seq.n, threshold, seed=4)
+        watched = []
+
+        def check(*_):
+            live = {rec.owner: id(rec) for rec in tr._live.values() if rec.cls == "random"}
+            assert {owner: id(rec) for owner, (rec, _) in tr._watching.items()} == live
+            watched.append(len(live))
+
+        replay(s, seq.ops, verify_every=0, on_update=check)
+        assert max(watched) > 0
+        assert any(rec.cls == "random" and not rec.live for rec in tr.epochs)
+
+
 class TestEpochSets:
     def test_classification_thresholds(self):
         rep = EpochRecord(

@@ -16,7 +16,9 @@ first in odd ones, with ``gc.collect()`` before each pass.  A pass times
 its set-up (``parse`` plus ``State()``) and its replay (``apply_update``
 for every op) separately.  For each phase the tool prints both medians,
 the median per-round B/A ratio with its quartiles, B's wins out of K and a
-two-sided sign-test p-value.  It exits 1 when the fingerprints differ.
+two-sided sign-test p-value.  It exits 1 when the fingerprints differ, and
+2 on a usage error: a tree without ``src/dynmatch``, an unknown workload or
+fewer than two rounds.
 
 Caveat: both sides share one interpreter, allocator and garbage collector.
 An effect that lives in GC timing or memory layout reads differently here
@@ -42,8 +44,6 @@ WORKLOADS_PY = ROOT / "perfbench" / "dmbench" / "workloads.py"
 def load_package(name: str, tree: Path):
     """Import ``tree/src/dynmatch`` as a package called ``name``."""
     pkg = tree / "src" / "dynmatch"
-    if not (pkg / "__init__.py").is_file():
-        raise SystemExit(f"error: no dynmatch source under {tree}")
     spec = importlib.util.spec_from_file_location(
         name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
     module = importlib.util.module_from_spec(spec)
@@ -119,11 +119,18 @@ def main(argv: list[str] | None = None) -> int:
     args = p.parse_args(argv)
     if args.rounds < 2:
         p.error("--rounds must be >= 2")
+    for tree in (args.a, args.b):
+        if not (tree / "src" / "dynmatch" / "__init__.py").is_file():
+            p.error(f"no dynmatch source under {tree}")
     sys.dont_write_bytecode = True  # leave both trees and perfbench/ as they are
     side_a = load_package("ab_side_a", args.a.resolve())
     side_b = load_package("ab_side_b", args.b.resolve())
     workloads = load_workloads(side_a)
-    text = workloads.make_text(workloads.spec_for(args.workload, args.smoke), args.seed)
+    try:
+        spec = workloads.spec_for(args.workload, args.smoke)
+    except ValueError as e:
+        p.error(str(e))
+    text = workloads.make_text(spec, args.seed)
     print(f"workload {args.workload} seed {args.seed}{' (smoke)' if args.smoke else ''}, "
           f"{args.rounds} rounds\nA = {args.a}\nB = {args.b}")
     fa, fb = fingerprint(side_a, text, args.seed), fingerprint(side_b, text, args.seed)
