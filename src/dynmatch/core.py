@@ -14,7 +14,9 @@ list or free index was never written has the one shared :data:`EMPTY_SET`.
 The first write to a vertex's container replaces the shared empty with a
 fresh one, which keeps its object from then on: a container that empties
 again holds ``()`` as its dense list and no dict key table.  So a fresh
-state costs three list slots per vertex and no object.
+state costs three list slots per vertex and no object.  ``State.own_add``
+and ``State.free_add`` are the only calls that add a member, so they are
+the only places that make the swap, and nothing puts the shared one back.
 
 The free indexes follow one rule, which the engine keeps: a vertex sits in
 all of its neighbors' indexes or in none.  So one membership test says
@@ -144,8 +146,8 @@ FreeNeighborIndex = IndexableSet
 
 # Ownership list and free index of every vertex whose container was never
 # written.  Shared by both lists of every state in the process, so nothing
-# may write into it: a writer swaps in a fresh set first (``State.own_add``,
-# and the engine's ``insert_to_f_list`` and ``insert_edge``).
+# may write into it: a writer swaps in a fresh set first (``State.own_add``
+# and ``State.free_add``).
 EMPTY_SET: IndexableSet = IndexableSet()
 
 
@@ -229,3 +231,13 @@ class State:
 
     def own_remove(self, owner: int, other: int) -> None:
         self.owners[owner].remove(other)
+
+    # -- free indexes ------------------------------------------------------
+
+    def free_add(self, w: int, u: int) -> None:
+        """Record u, which F(w) does not hold, as a free neighbor of w;
+        w's first entry replaces EMPTY_SET."""
+        fi = self.free_index[w]
+        if fi is EMPTY_SET:
+            fi = self.free_index[w] = IndexableSet()
+        fi.insert(u)

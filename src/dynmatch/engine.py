@@ -34,9 +34,10 @@ Below them nothing is re-checked: the procedures, the macros and the
 ``_unmatch`` are the only writers of the matching.  The verifier is the
 safety net.
 
-An attached observer's hooks are handed the state first, plus only what
-the engine alone knows: the update, the pair matched or unmatched, the
-deleted edge and the owned neighbors a random settle starts from.
+An attached observer gets three calls, each handed the state first plus
+only what the engine alone knows: ``on_match_set`` with the pair matched
+and the owned neighbors a random settle starts from, ``on_match_unset``
+with the pair unmatched, and ``on_edge_deleted`` with the deleted edge.
 
 All or none, and matched means unindexed: a vertex sits in every
 neighbor's free index or in none, and in none while matched.  ``_match``
@@ -47,17 +48,11 @@ or by a naive settle that finds no match and no path, so no index call is
 a no-op.  A new edge between two free vertices indexes neither:
 :func:`insert_edge` unindexes both before the edge joins their adjacency,
 and ``handle_insert_level0`` matches them.
-
-A free index is the shared :data:`~dynmatch.core.EMPTY_SET`, the empty
-that ownership lists share too, until its first entry:
-:func:`insert_to_f_list` and :func:`insert_edge`, the only places that add
-an entry, swap in a fresh :class:`~dynmatch.core.IndexableSet` first and
-never put the shared one back.
 """
 
 from __future__ import annotations
 
-from .core import EMPTY_SET, IndexableSet, State
+from .core import State
 
 PROCEDURE_NAMES = (
     "naive_settle_augmented",
@@ -134,7 +129,7 @@ def transfer_ownership_from(state: State, u: int) -> None:
     owned = state.owners[u]
     targets = state.level1_owned.pop(u, None)
     if targets is None:
-        moving = [w for w in owned._items if level[w]]
+        moving = [w for w in owned if level[w]]
     else:
         moving = sorted(
             [w for w in targets if level[w] and w in owned], key=owned.__getitem__
@@ -173,14 +168,9 @@ def take_ownership(state: State, u: int) -> None:
 
 
 def insert_to_f_list(state: State, u: int) -> None:
-    """Record u as free in every neighbor's index; a neighbor's first entry
-    replaces EMPTY_SET."""
-    free_index = state.free_index
+    """Record u as free in every neighbor's index."""
     for w in state.adj[u]:
-        fi = free_index[w]
-        if fi is EMPTY_SET:
-            fi = free_index[w] = IndexableSet()
-        fi.insert(u)
+        state.free_add(w, u)
 
 
 def delete_from_f_list(state: State, u: int) -> None:
@@ -470,9 +460,6 @@ def insert_edge(state: State, u: int, v: int) -> list[tuple]:
         raise ValueError(f"edge ({u}, {v}) already present")
     state.update_index += 1
     trace = state.trace = []
-    obs = state.observer
-    if obs is not None:
-        obs.on_update_begin(state, "+", u, v)
     mate = state.mate
     free_u = mate[u] is None
     free_v = mate[v] is None
@@ -490,10 +477,7 @@ def insert_edge(state: State, u: int, v: int) -> list[tuple]:
     if free_u != free_v:
         # index the free endpoint x at its matched neighbor y
         x, y = (u, v) if free_u else (v, u)
-        fi = state.free_index[y]
-        if fi is EMPTY_SET:
-            fi = state.free_index[y] = IndexableSet()
-        fi.insert(x)
+        state.free_add(y, x)
     lu, lv = state.level[u], state.level[v]
     if lu == 1 and lv == 1:
         owner, other = (u, v) if u < v else (v, u)
@@ -512,8 +496,6 @@ def insert_edge(state: State, u: int, v: int) -> list[tuple]:
             randomised_raise_level_to_1(state, u)
     else:
         handle_insert_level0(state, u, v)
-    if obs is not None:
-        obs.on_update_end(state)
     return trace
 
 
@@ -531,9 +513,6 @@ def delete_edge(state: State, u: int, v: int) -> list[tuple]:
         raise ValueError(f"edge ({u}, {v}) not present")
     state.update_index += 1
     trace = state.trace = []
-    obs = state.observer
-    if obs is not None:
-        obs.on_update_begin(state, "-", u, v)
     state.remove_edge(u, v)
     if v in state.owners[u]:
         state.own_remove(u, v)
@@ -549,14 +528,12 @@ def delete_edge(state: State, u: int, v: int) -> list[tuple]:
         _unmatch(state, u, v)
     # Fired after the unset, so an observer sees a matched edge's deletion
     # after the unmatch it caused.
-    if obs is not None:
-        obs.on_edge_deleted(state, u, v)
+    if state.observer is not None:
+        state.observer.on_edge_deleted(state, u, v)
     if was_matched:
         _settle(state, u, 0)
         if mate[v] is None:
             _settle(state, v, 0)
-    if obs is not None:
-        obs.on_update_end(state)
     return trace
 
 

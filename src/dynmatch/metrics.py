@@ -53,8 +53,10 @@ def classify_epoch_set(rep: EpochRecord) -> str:
 
 
 class EpochTracker:
-    """Observer that turns the engine's five hooks, each handed the state
-    first, into epoch records.
+    """Observer that turns the engine's three hooks, ``on_match_set``,
+    ``on_match_unset`` and ``on_edge_deleted``, each handed the state first,
+    into epoch records.  Attach it before the first update: an edge matched
+    before it has no epoch, and its unmatch raises.
 
     ``on_match_set`` derives every record field: the update index, the
     higher endpoint level, the creator (the last trace entry) and, when
@@ -71,10 +73,11 @@ class EpochTracker:
     # -- engine hooks --------------------------------------------------
 
     def on_update_begin(self, state, kind: str, u: int, v: int) -> None:
-        """Nothing to open: each hook reads the update index from the state."""
+        """Not called by the engine: kept only because the benchmark's
+        tracer looks all five hook names up on this class."""
 
     def on_update_end(self, state) -> None:
-        """Nothing to close: each hook reads the update index from the state."""
+        """Not called by the engine; see ``on_update_begin``."""
 
     def on_match_set(self, state, u: int, v: int, owned_init) -> None:
         edge = (u, v) if u < v else (v, u)
@@ -100,7 +103,8 @@ class EpochTracker:
         edge = (u, v) if u < v else (v, u)
         rec = self._live.pop(edge, None)
         if rec is None:
-            raise ValueError(f"unset without an open epoch for {edge}")
+            raise ValueError(f"unset without an open epoch for {edge}: attach "
+                             "the EpochTracker before the first update")
         rec.terminated_at = state.update_index
         if rec.owner is not None:
             del self._watching[rec.owner]

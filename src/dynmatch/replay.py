@@ -44,11 +44,14 @@ def replay(
 
     ``verify_every``: 1 runs :func:`check_invariants` after every update, k
     after every k-th, 0 only at the end, None never; unless it is None the
-    final state is always checked.  With ``oracle``, :func:`check_ratio`
+    final state is always checked.  Any other value raises ``ValueError``
+    before the first update.  With ``oracle``, :func:`check_ratio`
     runs after every update; a failure stops the loop with no report.
     ``on_update(i, op, calls, elapsed_ns)`` runs
     after each update, before its checks.
     """
+    if verify_every is not None and (type(verify_every) is not int or verify_every < 0):
+        raise ValueError(f"verify_every must be None or an int >= 0, got {verify_every!r}")
     result = ReplayResult()
     procedures = result.procedures
     perf = time.perf_counter_ns

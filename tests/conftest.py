@@ -3,18 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from dynmatch.core import EMPTY_SET, IndexableSet
+from dynmatch.core import EMPTY_SET
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def index_free(s, w, u):
-    """Put u in F(w) as the engine does: w's first entry replaces the
-    shared EMPTY_SET with a fresh set."""
-    fi = s.free_index[w]
-    if fi is EMPTY_SET:
-        fi = s.free_index[w] = IndexableSet()
-    fi.insert(u)
 
 
 def assert_shared_set_empty():

@@ -1,10 +1,12 @@
 """``tools/ab.py``, the paired in-process A/B: an A/A run at smoke size must
-find identical fingerprints, and a usage error exits 2, never 1, which
-means the fingerprints differ.  No timing is asserted.  Bytecode writing
-is off, so the tests leave no file behind."""
+find identical fingerprints and print each phase's times and GC counts, and
+a usage error exits 2, never 1, which means the fingerprints differ.  No
+timing is asserted.  Bytecode writing is off, so the tests leave no file
+behind."""
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,7 +34,11 @@ def test_a_against_itself_has_identical_fingerprints(workload):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert "fingerprints: identical" in lines
-    assert [line.split()[0] for line in lines[-2:]] == ["set-up", "replay"]
+    assert [line.split()[0] for line in lines[-4:]] == ["set-up"] * 2 + ["replay"] * 2
+    for line in lines[-4::2]:
+        assert re.search(r" B/A \d", line), line
+    for line in lines[-3::2]:
+        assert re.search(r" gc0/1/2 per pass +A [\d.]+(/[\d.]+){2} +B [\d.]+(/[\d.]+){2}$", line), line
 
 
 @pytest.mark.parametrize("a, workload, rounds, message", [

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dynmatch
-from conftest import index_free
 from dynmatch import (
     Config,
     IndexableSet,
@@ -184,8 +183,8 @@ class TestFreeNeighborIndex:
 
     def test_total_and_has_free_exact(self):
         s = make_state(9)
-        index_free(s, 4, 0)
-        index_free(s, 4, 3)
+        s.free_add(4, 0)
+        s.free_add(4, 3)
         assert len(s.free_index[4]) == 2
         assert s.free_index[4]
         # an entry lives in one index only

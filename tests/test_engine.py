@@ -16,7 +16,7 @@ from hypothesis.stateful import (
 )
 
 import dynmatch.engine as eng
-from conftest import assert_shared_set_empty, index_free
+from conftest import assert_shared_set_empty
 from dynmatch import (
     Config,
     IndexableSet,
@@ -74,8 +74,8 @@ def matched_path_0123(threshold=None):
     add_owned(s, 1, 2)
     add_owned(s, 3, 2)
     match(s, 1, 2)
-    index_free(s, 1, 0)
-    index_free(s, 2, 3)
+    s.free_add(1, 0)
+    s.free_add(2, 3)
     return s
 
 
@@ -93,8 +93,8 @@ class TestMacros:
         for a, b in ((0, 2), (2, 1), (1, 5), (0, 1)):
             add_owned(s, a, b)
         match(s, 1, 2)
-        index_free(s, 1, 0)
-        index_free(s, 1, 5)
+        s.free_add(1, 0)
+        s.free_add(1, 5)
         fi = s.free_index[1]
         indexes = [dict(f) for f in s.free_index]
         assert check_3_aug_path(s, 0, 2) == 5
@@ -108,8 +108,8 @@ class TestMacros:
         add_owned(s, 0, 1)
         add_owned(s, 0, 2)
         match(s, 1, 2)
-        index_free(s, 1, 0)
-        index_free(s, 2, 0)
+        s.free_add(1, 0)
+        s.free_add(2, 0)
         assert check_3_aug_path(s, 0, 1) is None
         assert list(s.free_index[2]) == [0]
 
@@ -214,8 +214,8 @@ class TestNaiveSettle:
     def test_matches_free_neighbor_small_degrees(self):
         s = make_state(4)
         add_owned(s, 0, 1)
-        index_free(s, 0, 1)
-        index_free(s, 1, 0)
+        s.free_add(0, 1)
+        s.free_add(1, 0)
         naive_settle_augmented(s, 0, 0)
         assert s.mate[0] == 1
         assert s.level[0] == s.level[1] == 0
@@ -247,8 +247,8 @@ class TestRandomSettle:
     def test_forced_choice_unmatched_pick(self):
         s = make_state(2, threshold=1, seed=3)
         add_owned(s, 0, 1)
-        index_free(s, 0, 1)
-        index_free(s, 1, 0)
+        s.free_add(0, 1)
+        s.free_add(1, 0)
         assert random_settle_augmented(s, 0) is None
         assert s.mate[0] == 1
         assert s.level[0] == s.level[1] == 1
@@ -289,7 +289,7 @@ class TestRandomSettle:
         add_owned(s, 4, 2)
         # every free vertex in every neighbor's index, F(2) in order 4, 3, 1
         for free, of in ((4, 2), (3, 2), (1, 2), (1, 3), (2, 1), (3, 1), (2, 3), (2, 4)):
-            index_free(s, of, free)
+            s.free_add(of, free)
         probes = []
         probe = eng.check_3_aug_path
 
@@ -314,8 +314,8 @@ class TestDeterministicRaise:
         add_owned(s, 2, 0)
         add_owned(s, 3, 1)
         match(s, 0, 1)
-        index_free(s, 0, 2)
-        index_free(s, 1, 3)
+        s.free_add(0, 2)
+        s.free_add(1, 3)
         return s
 
     def test_levels_raised_matching_unchanged(self):
@@ -339,7 +339,7 @@ class TestRandomisedRaise:
         add_owned(s, 0, 1)
         for leaf in (2, 3, 4):
             add_owned(s, leaf, 0)
-            index_free(s, 0, leaf)
+            s.free_add(0, leaf)
         match(s, 0, 1)
         return s
 
@@ -360,7 +360,7 @@ class TestRandomisedRaise:
         # give the old mate its own free neighbor so the trailing settle bites
         s = self.star(1)
         add_owned(s, 5, 1)
-        index_free(s, 1, 5)
+        s.free_add(1, 5)
         randomised_raise_level_to_1(s, 0)
         if s.mate[0] != 1:
             assert s.mate[1] is not None
@@ -379,8 +379,8 @@ def path_for_fix(level_v, threshold=None):
         add_owned(s, 1, 2)
         add_owned(s, 3, 2)
     match(s, 1, 2)
-    index_free(s, 1, 0)
-    index_free(s, 2, 3)
+    s.free_add(1, 0)
+    s.free_add(2, 3)
     return s
 
 
@@ -447,7 +447,7 @@ class TestHandleDeleteLevel1:
         s.level[0] = 1
         for leaf in (1, 2):
             add_owned(s, 0, leaf)
-            index_free(s, 0, leaf)
+            s.free_add(0, leaf)
         handle_delete_level1(s, 0, 0)
         assert s.level[0] == 1 and s.mate[0] is not None
         assert 0 in s.level1_owned
@@ -457,7 +457,7 @@ class TestHandleDeleteLevel1:
         s = make_state(4, threshold=3)
         s.level[0] = 1
         add_owned(s, 0, 1)
-        index_free(s, 0, 1)
+        s.free_add(0, 1)
         handle_delete_level1(s, 0, 0)
         assert s.level[0] == 0
         assert s.mate[0] == 1
@@ -589,9 +589,9 @@ def insert_indexing_up_front(s, u, v):
     s.trace = []
     s.add_edge(u, v)
     if s.mate[u] is None:
-        index_free(s, v, u)
+        s.free_add(v, u)
     if s.mate[v] is None:
-        index_free(s, u, v)
+        s.free_add(u, v)
     eng.handle_insert_level0(s, u, v)
 
 
@@ -763,7 +763,7 @@ class UnindexedOnMatch:
     def _ignore(self, *args):
         pass
 
-    on_update_begin = on_update_end = on_match_unset = on_edge_deleted = _ignore
+    on_match_unset = on_edge_deleted = _ignore
 
 
 class UpdateMachine(RuleBasedStateMachine):
@@ -967,16 +967,16 @@ PINNED_STATE_DIGESTS = {
 # PINNED_DIGESTS key.  These pin the epoch stream the metrics see: a change
 # to how an event is produced must leave them as they are.
 PINNED_EVENT_DIGESTS = {
-    ("random", 0, None): "1daac2639b3eaf5e614a4ac21ff9899a58363d4a768caf8d5c2b26ba2ea59f1f",
-    ("random", 0, 3): "a90e1c9b310b6a7e2d89c153ad0f409f8a277d24b66d415634a8e4a9b288d32e",
-    ("random", 1, None): "c1bdc19c528bb217d9f5b8ce692aee4a01a11f1ddce7c553a1dc73663f81b466",
-    ("random", 1, 3): "e9689a078b1aa7e2e053c7f51da098a7f129a4124b6f85b6426fbb051da14ef2",
-    ("random", 2, None): "700966e4cb966a3e14b658d48814623af06cb8a31a5f58e8df8bb2b3a4b44d11",
-    ("random", 2, 3): "b1a8f8a30d781a9b4e096a08d5d28817026f2250d6dc2a37089163e1428eeb4b",
-    ("star-churn", 0, None): "211f81f3bd50fa0caba061b79cc0e4748296fd2d3029a7f83f0d4b0549006676",
-    ("star-churn", 0, 3): "e70bdd118491a33d597e4956cad5a53f1465fe33b8b0276029748e7fdff69c37",
-    ("star-churn", 0, None, 256): "327ea8edd105f64b7c0e55561cf087f3299ad5c4d4b9262848d662d6379ebd1b",
-    ("random", 0, None, 4096, 8192): "95a790a98becc9d89a63c73e74849b625e31cc4eb233aecf805c6214f5e4a732",
+    ("random", 0, None): "17436c891d8774a22d8f05ee554032d630e5aa8f4c3909a788af8c084ae237c3",
+    ("random", 0, 3): "4ecf08c10fbeaaf6963bc4343593199ddfdda2d60e47b822ff3c3a040bd30d6b",
+    ("random", 1, None): "3a40fc493789bede576e6617807abcb06df6328a7cf13a6f229253382b6566c1",
+    ("random", 1, 3): "002d923c24f925c73ff114e82a96c5f327966d302e5012d7e061340a7e769afe",
+    ("random", 2, None): "da4e7f9e10eb500e63ef60d72472033a2a84bb9b23b4b6474d996a2326852b11",
+    ("random", 2, 3): "f404d2442f8629867cb4d535112748d3245975451e73a34cdbc0dc9e4bb0326b",
+    ("star-churn", 0, None): "6ea4219626e1be8f06ac93da0d93a01ff109c800d0da6820c8b057c794e659f4",
+    ("star-churn", 0, 3): "367bfd475457fb1b1f3656f144b508236e6f6738919c4d4d0fde6ce7514691ff",
+    ("star-churn", 0, None, 256): "c24be6c7d5d2b25e318ae85a88ce2bdaa8fcdffb4df7ce9cf636f502bdde53a2",
+    ("random", 0, None, 4096, 8192): "521d42969fd5044257674d9c7a4dd81b8fb3f920265a654a4721ddd7caabe1a9",
 }
 
 
@@ -1022,10 +1022,10 @@ def _edge(u, v):
 
 
 class EventRecorder:
-    """An observer with all five hooks that hashes, in the order the engine
-    makes them, each call's hook name and the facts it stands for, read
-    from the state it is handed: the update index, the normalised edge
-    and, for a match, its level, class, creator, owner and the sorted
+    """An observer with the engine's three hooks that hashes, in the order
+    the engine makes them, each call's hook name and the facts it stands
+    for, read from the state it is handed: the update index, the normalised
+    edge and, for a match, its level, class, creator, owner and the sorted
     snapshot of the owner's edges."""
 
     def __init__(self):
@@ -1033,12 +1033,6 @@ class EventRecorder:
 
     def _record(self, *event):
         self.sha.update(repr(event).encode())
-
-    def on_update_begin(self, state, kind, u, v):
-        self._record("on_update_begin", state.update_index, kind, u, v)
-
-    def on_update_end(self, state):
-        self._record("on_update_end", state.update_index, state.matching_size)
 
     def on_match_set(self, state, u, v, owned_init):
         random = owned_init is not None
@@ -1104,7 +1098,9 @@ def test_each_procedure_names_itself_once():
 def test_engine_holds_no_epoch_vocabulary():
     """Epochs are defined by the metrics tracker alone: the engine names no
     epoch class, never reads back its trace (it only appends to it), and
-    hands each observer hook the state first."""
+    calls only the three hooks an epoch is made of, handing each the state
+    first.  Container allocation is the state's: the engine names neither
+    the shared empty set nor its type, and reads no dense list."""
     tree = ast.parse(Path(eng.__file__).read_text(encoding="utf-8"))
     classes = [
         node.value for node in ast.walk(tree)
@@ -1122,11 +1118,21 @@ def test_engine_holds_no_epoch_vocabulary():
         and node.func.attr.startswith("on_")
     ]
     assert {call.func.attr for call in hooks} == {
-        "on_update_begin", "on_update_end", "on_match_set", "on_match_unset",
-        "on_edge_deleted",
+        "on_match_set", "on_match_unset", "on_edge_deleted",
     }
     for call in hooks:
         assert call.args and ast.unparse(call.args[0]) == "state", ast.unparse(call)
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+    assert names & {"EMPTY_SET", "IndexableSet"} == set()
+    dense_reads = [
+        ast.unparse(node) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_items"
+    ]
+    assert dense_reads == []
 
 
 # Every pinned key, plus the named patterns the pins leave out.

@@ -155,6 +155,19 @@ class TestWatch:
         assert max(watched) > 0
         assert any(rec.cls == "random" and not rec.live for rec in tr.epochs)
 
+    def test_tracker_attached_after_a_match_names_the_attach_contract(self):
+        """A tracker misses the matches made before it is attached, so the
+        first unmatch of such a pair raises, and the message says when to
+        attach it."""
+        s = State(Config(n=4))
+        for u, v in ((0, 1), (1, 2), (2, 3)):
+            insert_edge(s, u, v)
+        assert s.mate == [1, 0, 3, 2]
+        s.observer = EpochTracker()
+        with pytest.raises(ValueError, match=r"unset without an open epoch for \(0, 1\): "
+                           "attach the EpochTracker before the first update"):
+            delete_edge(s, 0, 1)
+
 
 class TestEpochSets:
     def test_classification_thresholds(self):

@@ -96,3 +96,14 @@ def test_counts_match_an_explicit_loop():
     assert result.max_trace == max(map(len, traces))
     assert result.procedures == Counter(c[0] for t in traces for c in t)
     assert result.update_ns > 0
+
+
+@pytest.mark.parametrize("verify_every", [-1, -3, 2.5, "2", True])
+def test_bad_verify_every_rejected_before_any_update(verified_at, verify_every):
+    seq = gen_random(8, 20, 0.6, 1)
+    state = State(Config(n=seq.n))
+    with pytest.raises(ValueError, match="verify_every must be None or an int >= 0"):
+        replay(state, seq.ops, verify_every=verify_every)
+    assert verified_at == []
+    assert state.update_index == -1 and state.edge_count == 0
+    assert state.mate == [None] * seq.n

@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dynmatch.verifier
-from conftest import index_free
 from dynmatch import (
     Config,
     State,
@@ -245,8 +244,8 @@ class TestCheckInvariants:
             s.add_edge(u, v)
             s.own_add(u, v)
         match(s, 1, 2)
-        index_free(s, 1, 0)
-        index_free(s, 2, 3)
+        s.free_add(1, 0)
+        s.free_add(2, 3)
         rep = check_invariants(s)
         assert "5" in rep.ids()
         assert "MAX" not in rep.ids()
@@ -255,8 +254,8 @@ class TestCheckInvariants:
         s = State(Config(n=2))
         s.add_edge(0, 1)
         s.own_add(0, 1)
-        index_free(s, 0, 1)
-        index_free(s, 1, 0)
+        s.free_add(0, 1)
+        s.free_add(1, 0)
         rep = check_invariants(s)
         assert "MAX" in rep.ids()
         assert "1b" in rep.ids()
@@ -272,8 +271,8 @@ class TestCheckInvariants:
     def test_unowned_edge_reported(self):
         s = State(Config(n=2))
         s.add_edge(0, 1)
-        index_free(s, 0, 1)
-        index_free(s, 1, 0)
+        s.free_add(0, 1)
+        s.free_add(1, 0)
         rep = check_invariants(s)
         assert "OWN" in rep.ids()
 
@@ -286,7 +285,7 @@ class TestCheckInvariants:
         match(s, 1, 2)
         s.level[1] = 1
         s.level[2] = 1
-        index_free(s, 1, 0)
+        s.free_add(1, 0)
         rep = check_invariants(s)
         assert "OWN" in rep.ids()
 
@@ -294,9 +293,9 @@ class TestCheckInvariants:
         s = State(Config(n=3))
         s.add_edge(0, 1)
         s.own_add(0, 1)
-        index_free(s, 0, 1)
-        index_free(s, 1, 0)
-        index_free(s, 2, 1)  # 1 is not a neighbor of 2
+        s.free_add(0, 1)
+        s.free_add(1, 0)
+        s.free_add(2, 1)  # 1 is not a neighbor of 2
         rep = check_invariants(s)
         assert "F" in rep.ids()
 
@@ -309,7 +308,7 @@ class TestCheckInvariants:
         s.add_edge(1, 2)
         s.own_add(1, 2)
         match(s, 0, 1)
-        index_free(s, 1, 2)
+        s.free_add(1, 2)
         assert check_invariants(s).ok
         return s
 
@@ -376,8 +375,8 @@ class TestCheckInvariants:
             s.add_edge(0, v)
             s.own_add(0, v)
         match(s, 0, 1)
-        index_free(s, 0, 2)
-        index_free(s, 0, 3)
+        s.free_add(0, 2)
+        s.free_add(0, 3)
         rep = check_invariants(s)
         assert "3" in rep.ids()  # deg(0)=3 >= 2, matched at level 0
         assert "2" in rep.ids()  # |O_0|=3 >= 2 at level 0
@@ -386,7 +385,7 @@ class TestCheckInvariants:
         s = State(Config(n=3, threshold=1))
         s.add_edge(0, 1)
         s.own_add(0, 1)
-        index_free(s, 0, 1)
+        s.free_add(0, 1)
         s.mate[0] = 0
         rep = check_invariants(s)
         assert rep.ids() == {"SYM", "2"}  # |O_0|=1 >= 1 at level 0
@@ -447,7 +446,7 @@ def _add_reverse_owned(s, uw):
 
 
 def _index_matched(s, uw):
-    index_free(s, uw[1], uw[0])
+    s.free_add(uw[1], uw[0])
 
 
 def _drop_index_entry(s, wf):
@@ -479,7 +478,7 @@ def _free_at_non_neighbors(s):
 
 
 def _index_at_non_neighbor(s, wf):
-    index_free(s, wf[0], wf[1])
+    s.free_add(wf[0], wf[1])
 
 
 # name: (targets in a state, corruption of one target, the invariant broken)

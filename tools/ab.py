@@ -16,9 +16,12 @@ first in odd ones, with ``gc.collect()`` before each pass.  A pass times
 its set-up (``parse`` plus ``State()``) and its replay (``apply_update``
 for every op) separately.  For each phase the tool prints both medians,
 the median per-round B/A ratio with its quartiles, B's wins out of K and a
-two-sided sign-test p-value.  It exits 1 when the fingerprints differ, and
-2 on a usage error: a tree without ``src/dynmatch``, an unknown workload or
-fewer than two rounds.
+two-sided sign-test p-value, and under it each side's median gen0, gen1
+and gen2 collections per pass, read from ``gc.get_stats()`` around the
+phase: a full collection that lands in one side's pass and not the other's
+shows up there as a count, not only as time.  It exits 1 when the
+fingerprints differ, and 2 on a usage error: a tree without
+``src/dynmatch``, an unknown workload or fewer than two rounds.
 
 Caveat: both sides share one interpreter, allocator and garbage collector.
 An effect that lives in GC timing or memory layout reads differently here
@@ -77,17 +80,27 @@ def fingerprint(dm, text: str, seed: int) -> tuple:
     return list(state.mate), dict(sorted(res.procedures.items()))
 
 
-def timed_pass(dm, text: str, seed: int) -> tuple[float, float]:
-    """Seconds for set-up (parse plus State()) and for the replay."""
+def gc_counts() -> list[int]:
+    """Collections so far, per generation."""
+    return [g["collections"] for g in gc.get_stats()]
+
+
+def timed_pass(dm, text: str, seed: int) -> tuple[tuple[float, float], tuple[list, list]]:
+    """Seconds for set-up (parse plus State()) and for the replay, and the
+    collections per generation during each."""
     gc.collect()
+    c0 = gc_counts()
     t0 = time.perf_counter()
     seq = dm.parse(text)
     state = dm.State(dm.Config(n=seq.n, seed=seed))
     t1 = time.perf_counter()
+    c1 = gc_counts()
     apply = dm.apply_update
     for op in seq.ops:
         apply(state, op.kind, op.u, op.v)
-    return t1 - t0, time.perf_counter() - t1
+    t2 = time.perf_counter()
+    c2 = gc_counts()
+    return (t1 - t0, t2 - t1), ([y - x for x, y in zip(c0, c1)], [y - x for x, y in zip(c1, c2)])
 
 
 def sign_test(wins: int, losses: int) -> float:
@@ -106,6 +119,13 @@ def summarize(a: list[float], b: list[float]) -> str:
     return (f"A {statistics.median(a) * 1e3:9.2f} ms   B {statistics.median(b) * 1e3:9.2f} ms   "
             f"B/A {median:.3f} [{q1:.3f}, {q3:.3f}]   B wins {wins}/{len(ratios)}   "
             f"sign p {sign_test(wins, losses):.3g}")
+
+
+def summarize_gc(a: list[list[int]], b: list[list[int]]) -> str:
+    """Each side's median collections per pass, per generation."""
+    def medians(passes):
+        return "/".join(f"{statistics.median(gen):g}" for gen in zip(*passes))
+    return f"gc0/1/2 per pass   A {medians(a)}   B {medians(b)}"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -141,9 +161,12 @@ def main(argv: list[str] | None = None) -> int:
         for dm in (side_a, side_b) if r % 2 == 0 else (side_b, side_a):
             times[dm].append(timed_pass(dm, text, args.seed))
     for i, phase in enumerate(("set-up", "replay")):
-        a = [t[i] for t in times[side_a]]
-        b = [t[i] for t in times[side_b]]
+        a = [t[i] for t, _ in times[side_a]]
+        b = [t[i] for t, _ in times[side_b]]
         print(f"{phase:7s} {summarize(a, b)}")
+        a = [c[i] for _, c in times[side_a]]
+        b = [c[i] for _, c in times[side_b]]
+        print(f"{phase:7s} {summarize_gc(a, b)}")
     return 1 if differ else 0
 
 
