@@ -58,7 +58,7 @@ def _run_or_verify(args, *, oracle: bool) -> int:
     stats = on_update = None
     if args.metrics is not None:
         tracker = metrics_mod.EpochTracker()
-        state.observer = tracker
+        tracker.attach(state)
         stats = metrics_mod.RunStats(
             n=seq.n,
             threshold=state.threshold,

@@ -34,10 +34,10 @@ Below them nothing is re-checked: the procedures, the macros and the
 ``_unmatch`` are the only writers of the matching.  The verifier is the
 safety net.
 
-An attached observer gets three calls, each handed the state first plus
-only what the engine alone knows: ``on_match_set`` with the pair matched
-and the owned neighbors a random settle starts from, ``on_match_unset``
-with the pair unmatched, and ``on_edge_deleted`` with the deleted edge.
+An attached observer gets three calls, each ``(state, u, v)``:
+``on_match_set`` with the pair matched, ``on_match_unset`` with the pair
+unmatched, and ``on_edge_deleted`` with the deleted edge.  The engine
+computes nothing for it; what else it needs it reads from the state.
 
 All or none, and matched means unindexed: a vertex sits in every
 neighbor's free index or in none, and in none while matched.  ``_match``
@@ -66,12 +66,11 @@ PROCEDURE_NAMES = (
 )
 
 
-def _match(state, u, v, *, init=None):
-    """Match u and v, and report it to the observer with ``init``, the
-    owned neighbors a random settle started u from.  Both endpoints leave
-    the free indexes first, each only if its partner's index holds it
-    (all or none, and (u, v) is an edge): for a new edge between two free
-    vertices :func:`insert_edge` has already done so.
+def _match(state, u, v):
+    """Match u and v, and report the pair to the observer.  Both endpoints
+    leave the free indexes first, each only if its partner's index holds
+    it (all or none, and (u, v) is an edge): for a new edge between two
+    free vertices :func:`insert_edge` has already done so.
     """
     free_index = state.free_index
     if u in free_index[v]:
@@ -83,7 +82,7 @@ def _match(state, u, v, *, init=None):
     mate[v] = u
     state.matching_size += 1
     if state.observer is not None:
-        state.observer.on_match_set(state, u, v, init)
+        state.observer.on_match_set(state, u, v)
 
 
 def _unmatch(state, u, v):
@@ -250,8 +249,6 @@ def random_settle_augmented(state: State, u: int) -> None:
     any, is settled here by its level, deterministically.
     """
     state.trace.append(("random_settle_augmented", u))
-    # taken now: transfer_ownership_to(y) may move (u, y) away from u
-    init = None if state.observer is None else tuple(state.owners[u])
     y = state.owners[u].sample(state.rng)
     transfer_ownership_to(state, y)
     # y now owns (y, u), and u rises below without a scan.
@@ -262,7 +259,7 @@ def random_settle_augmented(state: State, u: int) -> None:
     level = state.level
     level[u] = 1
     level[y] = 1
-    _match(state, u, y, init=init)
+    _match(state, u, y)
     w = state.free_index[u].get_free()
     if w is not None:
         z = check_3_aug_path(state, w, u)

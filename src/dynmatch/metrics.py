@@ -54,21 +54,30 @@ def classify_epoch_set(rep: EpochRecord) -> str:
 
 class EpochTracker:
     """Observer that turns the engine's three hooks, ``on_match_set``,
-    ``on_match_unset`` and ``on_edge_deleted``, each handed the state first,
-    into epoch records.  Attach it before the first update: an edge matched
-    before it has no epoch, and its unmatch raises.
+    ``on_match_unset`` and ``on_edge_deleted``, each ``(state, u, v)``, into
+    epoch records.  :meth:`attach` it before the first update: an edge
+    matched before it has no epoch, and its unmatch raises.
 
-    ``on_match_set`` derives every record field: the update index, the
-    higher endpoint level, the creator (the last trace entry) and, when
-    ``owned_init`` is given, the random class and the owner u.  ``_watching``
-    keeps one watch per live random epoch, keyed by its owner, which is
-    matched in it: the snapshot neighbors not yet deleted, each counted once.
+    ``on_match_set`` derives every record field from the state: the update
+    index, the higher endpoint level and the creator, the last trace entry.
+    A match whose creator is a random settle is random, owned by u, and its
+    owner's initial list is u's ownership list plus v.  ``_watching`` keeps
+    one watch per live random epoch, keyed by its owner, which is matched in
+    it: the initial neighbors not yet deleted, each counted once.
     """
 
     def __init__(self) -> None:
         self.epochs: list[EpochRecord] = []
         self._live: dict[tuple[int, int], EpochRecord] = {}
         self._watching: dict[int, tuple[EpochRecord, set[int]]] = {}
+
+    def attach(self, state) -> None:
+        """Observe ``state`` from its first update on.  Raises ValueError,
+        before writing anything, once ``state`` has run an update."""
+        if state.update_index != -1:
+            raise ValueError(f"state has run {state.update_index + 1} updates: "
+                             "attach the EpochTracker before the first update")
+        state.observer = self
 
     # -- engine hooks --------------------------------------------------
 
@@ -79,23 +88,28 @@ class EpochTracker:
     def on_update_end(self, state) -> None:
         """Not called by the engine; see ``on_update_begin``."""
 
-    def on_match_set(self, state, u: int, v: int, owned_init) -> None:
+    def on_match_set(self, state, u: int, v: int) -> None:
         edge = (u, v) if u < v else (v, u)
         if edge in self._live:
             raise ValueError(f"epoch for {edge} already open")
+        creator = state.trace[-1][0]
+        random = creator == "random_settle_augmented"
         rec = EpochRecord(
             edge=edge,
             created_at=state.update_index,
             level=max(state.level[u], state.level[v]),
-            cls="deterministic" if owned_init is None else "random",
-            creator=state.trace[-1][0],
+            cls="random" if random else "deterministic",
+            creator=creator,
         )
-        if owned_init is not None:
+        if random:
             if u in self._watching:
                 raise ValueError(f"vertex {u} already owns a live random epoch")
+            # The settle drew v from u's list; u sits at level 0, so raising
+            # v moved only (u, v) out of it before this match.
+            init = {v, *state.owners[u]}
             rec.owner = u
-            rec.owner_init_size = len(owned_init)
-            self._watching[u] = (rec, set(owned_init))
+            rec.owner_init_size = len(init)
+            self._watching[u] = (rec, init)
         self.epochs.append(rec)
         self._live[edge] = rec
 

@@ -72,7 +72,7 @@ def crit56(request):
             continue
         state = State(Config(n=64, seed=10_000 + s))
         tracker = EpochTracker()
-        state.observer = tracker
+        tracker.attach(state)
         replay(state, ext.ops)
         empty = (
             state.edge_count == 0
@@ -202,7 +202,7 @@ def test_criterion_8_determinism():
     for _ in range(2):
         state = State(Config(n=64, seed=10_000))
         tracker = EpochTracker()
-        state.observer = tracker
+        tracker.attach(state)
         stats = RunStats(n=64, threshold=state.threshold, seed=10_000, tracker=tracker)
         record = stats.recorder(state)
         mates = []

@@ -757,7 +757,7 @@ class UnindexedOnMatch:
     every free vertex sits in all its neighbors' indexes or in none: the
     rule ``_match`` relies on to test one index."""
 
-    def on_match_set(self, state, u, v, owned_init):
+    def on_match_set(self, state, u, v):
         assert_indexed_all_or_none(state, boundary=False)
 
     def _ignore(self, *args):
@@ -1026,7 +1026,8 @@ class EventRecorder:
     the engine makes them, each call's hook name and the facts it stands
     for, read from the state it is handed: the update index, the normalised
     edge and, for a match, its level, class, creator, owner and the sorted
-    snapshot of the owner's edges."""
+    snapshot of the owner's initial edges.  A random settle's match is
+    random, owned by u, and u's initial edges are its list plus v."""
 
     def __init__(self):
         self.sha = hashlib.sha256()
@@ -1034,14 +1035,15 @@ class EventRecorder:
     def _record(self, *event):
         self.sha.update(repr(event).encode())
 
-    def on_match_set(self, state, u, v, owned_init):
-        random = owned_init is not None
+    def on_match_set(self, state, u, v):
+        creator = state.trace[-1][0]
+        random = creator == "random_settle_augmented"
         self._record(
             "on_match_set", state.update_index, _edge(u, v),
             max(state.level[u], state.level[v]),
-            "random" if random else "deterministic", state.trace[-1][0],
+            "random" if random else "deterministic", creator,
             u if random else None,
-            tuple(_edge(u, w) for w in sorted(owned_init)) if random else None,
+            tuple(_edge(u, w) for w in sorted({*state.owners[u], v})) if random else None,
         )
 
     def on_match_unset(self, state, u, v):
@@ -1098,9 +1100,12 @@ def test_each_procedure_names_itself_once():
 def test_engine_holds_no_epoch_vocabulary():
     """Epochs are defined by the metrics tracker alone: the engine names no
     epoch class, never reads back its trace (it only appends to it), and
-    calls only the three hooks an epoch is made of, handing each the state
-    first.  Container allocation is the state's: the engine names neither
-    the shared empty set nor its type, and reads no dense list."""
+    calls only the three hooks an epoch is made of, each with exactly
+    ``(state, u, v)``.  ``_match`` takes the pair and nothing else, and the
+    observer is read only in the three ``is not None`` guards around the
+    hook calls, so the engine computes nothing for it.  Container
+    allocation is the state's: the engine names neither the shared empty
+    set nor its type, and reads no dense list."""
     tree = ast.parse(Path(eng.__file__).read_text(encoding="utf-8"))
     classes = [
         node.value for node in ast.walk(tree)
@@ -1121,7 +1126,23 @@ def test_engine_holds_no_epoch_vocabulary():
         "on_match_set", "on_match_unset", "on_edge_deleted",
     }
     for call in hooks:
-        assert call.args and ast.unparse(call.args[0]) == "state", ast.unparse(call)
+        assert len(call.args) == 3 and not call.keywords, ast.unparse(call)
+        assert ast.unparse(call.args[0]) == "state", ast.unparse(call)
+    (match,) = [
+        fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "_match"
+    ]
+    assert ast.unparse(match.args) == "state, u, v"
+    guards = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "state.observer is not None"
+    ]
+    assert len(guards) == 3
+    guarded = {id(node) for guard in guards for node in ast.walk(guard)}
+    observer_reads = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and ast.unparse(node) == "state.observer"
+    ]
+    assert [ast.unparse(node) for node in observer_reads if id(node) not in guarded] == []
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     names |= {
         alias.name for node in ast.walk(tree)

@@ -10,6 +10,7 @@ from dynmatch import (
     Config,
     EpochRecord,
     EpochTracker,
+    IndexableSet,
     RunStats,
     State,
     classify_epoch_set,
@@ -25,7 +26,7 @@ from dynmatch.engine import apply_update, delete_edge, insert_edge
 def tracked_state(n, threshold=None, seed=0):
     s = State(Config(n=n, threshold=threshold, seed=seed))
     tracker = EpochTracker()
-    s.observer = tracker
+    tracker.attach(s)
     return s, tracker
 
 
@@ -98,10 +99,15 @@ class TestWatch:
     """A live random epoch counts each edge of its owner's initial list at
     that edge's first deletion, and nothing once the epoch has ended."""
 
-    def opened(self, tr, s, u, v, owned_init):
+    def opened(self, tr, s, u, v, init):
+        """A random settle of u matching v, drawn from u's list ``init``:
+        the state holds the list as the settle leaves it, without v."""
+        for w in init:
+            if w != v:
+                s.own_add(u, w)
         s.trace = [("random_settle_augmented", u)]
         s.level[u] = s.level[v] = 1
-        tr.on_match_set(s, u, v, owned_init)
+        tr.on_match_set(s, u, v)
         return tr.epochs[-1]
 
     def test_redeleted_snapshot_edge_counts_once(self):
@@ -142,9 +148,28 @@ class TestWatch:
         (gen_named("star-churn", 256, 0), None),
         (gen_random(16, 1200, 0.6, 8), 2),
     ], ids=["star-churn-256", "random-16-threshold-2"])
-    def test_one_watch_per_live_random_epoch(self, seq, threshold):
+    def test_one_watch_per_live_random_epoch(self, seq, threshold, monkeypatch):
+        """One watch per live random epoch, and each opens on exactly the
+        list its random settle drew from: the tracker's derivation of the
+        initial list from the state agrees with the draw."""
         s, tr = tracked_state(seq.n, threshold, seed=4)
         watched = []
+        drawn, opened = [], []
+        sample = IndexableSet.sample
+
+        def recorded_sample(owned, rng):
+            drawn.append(set(owned))
+            return sample(owned, rng)
+
+        monkeypatch.setattr(IndexableSet, "sample", recorded_sample)
+        on_match_set = tr.on_match_set
+
+        def recorded_match_set(state, u, v):
+            on_match_set(state, u, v)
+            if tr.epochs[-1].cls == "random":
+                opened.append(set(tr._watching[u][1]))
+
+        tr.on_match_set = recorded_match_set
 
         def check(*_):
             live = {rec.owner: id(rec) for rec in tr._live.values() if rec.cls == "random"}
@@ -154,6 +179,20 @@ class TestWatch:
         replay(s, seq.ops, verify_every=0, on_update=check)
         assert max(watched) > 0
         assert any(rec.cls == "random" and not rec.live for rec in tr.epochs)
+        assert opened == drawn
+        assert [rec.owner_init_size for rec in tr.epochs if rec.cls == "random"] == [
+            len(d) for d in drawn
+        ]
+
+    def test_late_attach_raises_and_attaches_nothing(self):
+        """``attach`` refuses a state that has run an update, naming the
+        contract, and leaves the state without an observer."""
+        s = State(Config(n=4))
+        insert_edge(s, 0, 1)
+        with pytest.raises(ValueError, match=r"state has run 1 updates: "
+                           "attach the EpochTracker before the first update"):
+            EpochTracker().attach(s)
+        assert s.observer is None
 
     def test_tracker_attached_after_a_match_names_the_attach_contract(self):
         """A tracker misses the matches made before it is attached, so the

@@ -15,13 +15,19 @@ counts.  Then K rounds run one pass per side, A first in even rounds and B
 first in odd ones, with ``gc.collect()`` before each pass.  A pass times
 its set-up (``parse`` plus ``State()``) and its replay (``apply_update``
 for every op) separately.  For each phase the tool prints both medians,
-the median per-round B/A ratio with its quartiles, B's wins out of K and a
-two-sided sign-test p-value, and under it each side's median gen0, gen1
-and gen2 collections per pass, read from ``gc.get_stats()`` around the
-phase: a full collection that lands in one side's pass and not the other's
-shows up there as a count, not only as time.  It exits 1 when the
-fingerprints differ, and 2 on a usage error: a tree without
-``src/dynmatch``, an unknown workload or fewer than two rounds.
+the median per-round B/A ratio with its quartiles and B's wins out of K,
+and under it each side's median gen0, gen1 and gen2 collections per pass,
+read from ``gc.get_stats()`` around the phase: a full collection that
+lands in one side's pass and not the other's shows up there as a count,
+not only as time.  It exits 1 when the fingerprints differ, and 2 on a
+usage error: a tree without ``src/dynmatch``, an unknown workload or fewer
+than two rounds.
+
+The rounds are not independent: a shared host's speed can drift over
+minutes, so one run can read a B/A well off 1 for identical trees, and no
+p-value is printed.  Repeat the run with the trees swapped (``tools/ab.py
+B A``) and quote both runs; a real effect reads as B/A in one and about
+its inverse in the other.
 
 Caveat: both sides share one interpreter, allocator and garbage collector.
 An effect that lives in GC timing or memory layout reads differently here
@@ -34,7 +40,6 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib.util
-import math
 import statistics
 import sys
 import time
@@ -103,22 +108,12 @@ def timed_pass(dm, text: str, seed: int) -> tuple[tuple[float, float], tuple[lis
     return (t1 - t0, t2 - t1), ([y - x for x, y in zip(c0, c1)], [y - x for x, y in zip(c1, c2)])
 
 
-def sign_test(wins: int, losses: int) -> float:
-    """Two-sided sign-test p-value; ties are left out by the caller."""
-    n, k = wins + losses, min(wins, losses)
-    if n == 0:
-        return 1.0
-    return min(1.0, 2 * sum(math.comb(n, i) for i in range(k + 1)) / 2**n)
-
-
 def summarize(a: list[float], b: list[float]) -> str:
     ratios = [y / x for x, y in zip(a, b)]
     q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
     wins = sum(y < x for x, y in zip(a, b))
-    losses = sum(y > x for x, y in zip(a, b))
     return (f"A {statistics.median(a) * 1e3:9.2f} ms   B {statistics.median(b) * 1e3:9.2f} ms   "
-            f"B/A {median:.3f} [{q1:.3f}, {q3:.3f}]   B wins {wins}/{len(ratios)}   "
-            f"sign p {sign_test(wins, losses):.3g}")
+            f"B/A {median:.3f} [{q1:.3f}, {q3:.3f}]   B wins {wins}/{len(ratios)}")
 
 
 def summarize_gc(a: list[list[int]], b: list[list[int]]) -> str:
