@@ -14,7 +14,11 @@ The repair procedures come in deterministic/randomized pairs.  ``flag`` is
 1 only for a vertex that a randomized repair displaced, and makes its naive
 settle raise and exchange paths deterministically.  Every other settle, both
 endpoints of a deleted matched edge included, has flag 0, so one deletion
-may run :func:`random_settle_augmented` once per endpoint.
+may run :func:`random_settle_augmented` once per endpoint.  Those two
+endpoints settle lower degree first: a failed naive settle indexes its
+vertex at every neighbor, and a hub settled before its spoke would be
+indexed at every spoke only to be matched, and unindexed, by the spoke's
+settle in the same update.
 
 A procedure that displaces a vertex settles it before returning.  The
 vertex is settled by its level (:func:`handle_delete_level1` at level 1,
@@ -502,7 +506,13 @@ def delete_edge(state: State, u: int, v: int) -> list[tuple]:
     Drops the edge from the adjacency, its owner's list, and the free
     endpoint, if any, from the other endpoint's free index.  Deleting an
     unmatched edge makes no procedure calls; a matched edge dissolves and
-    both endpoints are re-settled according to their level.
+    both endpoints are re-settled according to their level, the one with
+    the smaller adjacency first (``u`` on a tie).  A naive settle that
+    fails indexes its vertex at every neighbor, so settling a hub first
+    would index it at every spoke only for the spoke's settle to match it
+    and erase those entries in the same update; the low-degree endpoint
+    indexed first costs a few entries, and the hub finds its path through
+    it.  The observer still sees the edge as given.
     """
     state.check_vertex(u)
     state.check_vertex(v)
@@ -528,6 +538,8 @@ def delete_edge(state: State, u: int, v: int) -> list[tuple]:
     if state.observer is not None:
         state.observer.on_edge_deleted(state, u, v)
     if was_matched:
+        if len(state.adj[v]) < len(state.adj[u]):
+            u, v = v, u
         _settle(state, u, 0)
         if mate[v] is None:
             _settle(state, v, 0)

@@ -7,6 +7,12 @@ from dynmatch.core import EMPTY_SET
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
+# The pinned digests and work counts were taken on CPython 3.11.7.  They
+# rest on set iteration order (every scan of an adjacency set follows the
+# hash table's history), so another interpreter may read other values from
+# the same code; a pin assertion names the interpreter it ran on.
+PIN_CONTEXT = f"pinned on CPython 3.11.7, resting on set iteration order; running {sys.version}"
+
 
 def assert_shared_set_empty():
     """Every state in the process shares EMPTY_SET, so a write into it

@@ -1,7 +1,8 @@
 """``tools/ab.py``, the paired in-process A/B: an A/A run at smoke size must
-find identical fingerprints and print each phase's times and GC counts, and
-a usage error exits 2, never 1, which means the fingerprints differ.  No
-timing is asserted.  Bytecode writing is off, so the tests leave no file
+find identical fingerprints and equal tracemalloc peaks, and print each
+phase's times and GC counts and the per-update percentiles; a usage error
+exits 2, never 1, which means the fingerprints differ.  No timing is
+asserted.  Bytecode writing is off, so the tests leave no file
 behind."""
 
 import os
@@ -33,11 +34,15 @@ def test_a_against_itself_has_identical_fingerprints(workload):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert "fingerprints: identical" in lines
-    assert [line.split()[0] for line in lines[-4:]] == ["set-up"] * 2 + ["replay"] * 2
-    for line in lines[-4::2]:
+    peak = re.fullmatch(r"peak +A (\d+\.\d{4}) MiB +B (\d+\.\d{4}) MiB", lines[-6])
+    assert peak and peak[1] == peak[2] and float(peak[1]) > 0, lines[-6]
+    assert [line.split()[0] for line in lines[-5:-1]] == ["set-up"] * 2 + ["replay"] * 2
+    for line in lines[-5:-1:2]:
         assert re.search(r" B/A \d", line), line
-    for line in lines[-3::2]:
+    for line in lines[-4:-1:2]:
         assert re.search(r" gc0/1/2 per pass +A [\d.]+(/[\d.]+){2} +B [\d.]+(/[\d.]+){2}$", line), line
+    us = r"\d+\.\d\d us"
+    assert re.fullmatch(rf"update +p50 A {us} +B {us} +p99\.9 A {us} +B {us}", lines[-1]), lines[-1]
 
 
 @pytest.mark.parametrize("a, workload, rounds, message", [

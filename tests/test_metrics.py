@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from conftest import PIN_CONTEXT
 from dynmatch import (
     Config,
     EpochRecord,
@@ -347,16 +348,19 @@ class TestExport:
 # the CSV without its ``wall_ns`` column, and the summary table.  These pin
 # what the export says, however RunStats and EpochTracker store it.  A key
 # is (generator, n, threshold); every run uses seed 7 and ends with a
-# teardown.
+# teardown.  Taken on CPython 3.11.7, like the epoch-record pins below: both
+# rest on set iteration order (ROADMAP "Small: Set order"), so a failure
+# names the interpreter it ran on.  Re-pinned when a deleted matched edge's
+# lower-degree endpoint began to settle first, which moves the trajectories.
 PINNED_EXPORT_DIGESTS = {
     ("random", 16, 2):
-        "f3d4f62edd9818259d3d8fac0b6abd41eb6d583adc7d6addab2ffbad55526077",
+        "48df868db76d1320399e4a79f1c772c8639346053e8088c7de71f73834891b28",
     ("random", 64, None):
         "62d69d3aeda301f46ca4400df941b34cc7c8315003fea8d367f8d004d362a75b",
     ("random", 40, 3):
-        "634186135ebe3bb6cece13b511017d93be73f98409b7dd62ddf4837ed98e72c6",
+        "d4e080fd15a549e881f711ac75350700953fa120f319f48c98295546b17c5bcd",
     ("star-churn", 64, None):
-        "b5c5bc73176d67bdf8c9d61c14bda1e996785d5324e85266f9d94fc28b43ab00",
+        "9850dead81500932613f2dcb15f2b699fb285bf7fe09b2a40dc2c24f5329a8d2",
     ("path-zipper", 64, None):
         "d3da05e5e539dc9b2d78ba4e1556015238efebcebd64289cb9e93c2e8c8ec29c",
 }
@@ -364,13 +368,13 @@ PINNED_EXPORT_DIGESTS = {
 # sha256 over every field of every EpochRecord of the same runs.
 PINNED_EPOCH_RECORD_DIGESTS = {
     ("random", 16, 2):
-        "9b96dbb90c9fe75c1ab1123bb2b6c9a77607ee90cf733d986b09fda288954b8e",
+        "b420626c34fe252de42db6fd84670d6ca50e8b54af6fcd6eeb70c93f393dec9f",
     ("random", 64, None):
-        "f0e2f260592276a05728e019e7c729590e67f90d8a3d603e282856c02354206a",
+        "2c1bf013fc2cb6ee0084fb8ab8cb5c78802d8db4322a14136e884e3dbfaea88b",
     ("random", 40, 3):
-        "832b378dec7cad85c49721f01d67ce2ebc737150c21421b0f434caa051ca25bf",
+        "f3310cde891ab205502074dbe7bf53bda0c29633ae16090cbafb9ef454e4f43e",
     ("star-churn", 64, None):
-        "48bbb54d928badc4b878ca341cc9e1a07e22019ed572d1e64452f03c56bff7a3",
+        "0604e38ba618b1584f8e5fbc345413d732d957a1f08c40145c5e41024e09f730",
     ("path-zipper", 64, None):
         "4b05361ef9d82f865cc9e74610594f7d9bf68b8ffd3c4c5daacf3d623d665425",
 }
@@ -412,10 +416,10 @@ def _epoch_record_digest(*key):
 @pytest.mark.parametrize("key", list(PINNED_EXPORT_DIGESTS),
                          ids=lambda k: "-".join(map(str, k)))
 def test_export_digest_pinned(key):
-    assert _export_digest(*key) == PINNED_EXPORT_DIGESTS[key]
+    assert _export_digest(*key) == PINNED_EXPORT_DIGESTS[key], PIN_CONTEXT
 
 
 @pytest.mark.parametrize("key", list(PINNED_EPOCH_RECORD_DIGESTS),
                          ids=lambda k: "-".join(map(str, k)))
 def test_epoch_record_digest_pinned(key):
-    assert _epoch_record_digest(*key) == PINNED_EPOCH_RECORD_DIGESTS[key]
+    assert _epoch_record_digest(*key) == PINNED_EPOCH_RECORD_DIGESTS[key], PIN_CONTEXT

@@ -19,16 +19,21 @@ from array import array
 
 import pytest
 
+from conftest import PIN_CONTEXT
 from dynmatch import workload
 from dynmatch.core import EMPTY_SET
 
 SEED = 1
 
-# (free-index insert calls, free-index delete calls)
+# (free-index insert calls, free-index delete calls), taken on CPython
+# 3.11.7: they rest on set iteration order (ROADMAP "Small: Set order"), so
+# a failure names the interpreter it ran on
 PINNED_FREE_INDEX_CALLS = {
     # an insert between two free vertices indexes neither
     "sparse-large": (2_283, 1_897),
-    "star-churn": (2_015, 2_015),
+    # a deleted matched edge settles its lower-degree endpoint first, so the
+    # hub is no longer indexed at every spoke only to be unindexed at once
+    "star-churn": (1_257, 1_257),
 }
 
 
@@ -41,7 +46,7 @@ def test_free_index_calls_pinned(name, dmbench):
     assert res.failed == 0, res.error
     assert res.attempted == len(seq.ops)
     calls = (layer["core.free_index.insert.calls"], layer["core.free_index.delete.calls"])
-    assert calls == PINNED_FREE_INDEX_CALLS[name]
+    assert calls == PINNED_FREE_INDEX_CALLS[name], PIN_CONTEXT
     # every delete_from_f_list call erases an entry
     assert layer["engine.delete_from_f_list.noop_calls"] == 0
 
